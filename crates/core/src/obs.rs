@@ -335,6 +335,12 @@ pub struct WireLinkObserver {
     errors: Arc<Counter>,
     reconnects: Arc<Counter>,
     links_live: Arc<Gauge>,
+    reads: Arc<Counter>,
+    frames_read: Arc<Counter>,
+    writes: Arc<Counter>,
+    frames_written: Arc<Counter>,
+    frames_per_read: Arc<Gauge>,
+    frames_per_write: Arc<Gauge>,
 }
 
 impl WireLinkObserver {
@@ -378,6 +384,30 @@ impl WireLinkObserver {
                 "scale_wire_links_live",
                 "Live sctplite links (eNB + MMP) at publish time",
             ),
+            reads: r.counter(
+                "scale_wire_reads_total",
+                "Socket reads that returned data, over every link",
+            ),
+            frames_read: r.counter(
+                "scale_wire_frames_read_total",
+                "sctplite frames taken out of those reads",
+            ),
+            writes: r.counter(
+                "scale_wire_writes_total",
+                "Socket writes, over every link",
+            ),
+            frames_written: r.counter(
+                "scale_wire_frames_written_total",
+                "sctplite frames packed into those writes",
+            ),
+            frames_per_read: r.gauge(
+                "scale_wire_frames_per_read",
+                "Mean sctplite frames per socket read (read batching)",
+            ),
+            frames_per_write: r.gauge(
+                "scale_wire_frames_per_write",
+                "Mean sctplite frames per socket write (write batching)",
+            ),
             registry,
         }
     }
@@ -399,5 +429,15 @@ impl WireLinkObserver {
         self.errors.set(stats.errors);
         self.reconnects.set(reconnects);
         self.links_live.set(links_live as f64);
+    }
+
+    /// Publish the links' read/write batching counters.
+    pub fn publish_bursts(&self, io: &scale_sctplite::BurstCounts) {
+        self.reads.set(io.reads);
+        self.frames_read.set(io.frames_read);
+        self.writes.set(io.writes);
+        self.frames_written.set(io.frames_written);
+        self.frames_per_read.set(io.frames_per_read());
+        self.frames_per_write.set(io.frames_per_write());
     }
 }

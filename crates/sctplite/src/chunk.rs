@@ -132,12 +132,42 @@ pub struct Frame {
 impl Frame {
     /// Serialize to bytes.
     pub fn encode(&self) -> Bytes {
-        let mut body = BytesMut::new();
+        let mut out = BytesMut::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out.freeze()
+    }
+
+    /// Size of [`Frame::encode`]'s output: the 8-byte header plus the
+    /// chunk body.
+    pub fn encoded_len(&self) -> usize {
+        8 + self.body_len()
+    }
+
+    fn body_len(&self) -> usize {
+        match &self.chunk {
+            Chunk::Init { .. } | Chunk::InitAck { .. } => 6,
+            Chunk::Data { payload, .. } => 10 + payload.len(),
+            Chunk::Heartbeat { .. } | Chunk::HeartbeatAck { .. } => 8,
+            Chunk::Shutdown | Chunk::ShutdownAck => 0,
+            Chunk::Abort { .. } => 1,
+        }
+    }
+
+    /// Append exactly the bytes of [`Frame::encode`] to `out`, with no
+    /// intermediate buffer — how a transport packs a burst of frames
+    /// into one write.
+    pub fn encode_into<B: BufMut>(&self, out: &mut B) {
+        let body_len = self.body_len();
+        debug_assert!(body_len <= u16::MAX as usize, "oversized chunk");
+        out.put_u32(self.tag);
+        out.put_u8(self.chunk.chunk_type() as u8);
+        out.put_u8(0); // flags, reserved
+        out.put_u16(body_len as u16);
         match &self.chunk {
             Chunk::Init { init_tag, num_streams }
             | Chunk::InitAck { init_tag, num_streams } => {
-                body.put_u32(*init_tag);
-                body.put_u16(*num_streams);
+                out.put_u32(*init_tag);
+                out.put_u16(*num_streams);
             }
             Chunk::Data {
                 stream_id,
@@ -145,23 +175,15 @@ impl Frame {
                 ppid,
                 payload,
             } => {
-                body.put_u16(*stream_id);
-                body.put_u32(*seq);
-                body.put_u32(*ppid);
-                body.put_slice(payload);
+                out.put_u16(*stream_id);
+                out.put_u32(*seq);
+                out.put_u32(*ppid);
+                out.put_slice(payload);
             }
-            Chunk::Heartbeat { nonce } | Chunk::HeartbeatAck { nonce } => body.put_u64(*nonce),
+            Chunk::Heartbeat { nonce } | Chunk::HeartbeatAck { nonce } => out.put_u64(*nonce),
             Chunk::Shutdown | Chunk::ShutdownAck => {}
-            Chunk::Abort { reason } => body.put_u8(*reason),
+            Chunk::Abort { reason } => out.put_u8(*reason),
         }
-        let mut out = BytesMut::with_capacity(8 + body.len());
-        out.put_u32(self.tag);
-        out.put_u8(self.chunk.chunk_type() as u8);
-        out.put_u8(0); // flags, reserved
-        debug_assert!(body.len() <= u16::MAX as usize, "oversized chunk");
-        out.put_u16(body.len() as u16);
-        out.put_slice(&body);
-        out.freeze()
     }
 
     /// Parse one frame. Strict and canonical: the reserved flags byte

@@ -10,7 +10,8 @@
 //! * [`memory`] — an in-memory link with deterministic fault injection
 //!   (drop/corrupt, as netem provided in the paper's testbed);
 //! * [`tokio_transport`] — the async TCP adapter used by the runnable
-//!   prototype, with per-link artificial propagation delay.
+//!   prototype, with per-link artificial propagation delay; it reads
+//!   and writes per burst of frames, not per frame.
 //!
 //! Substitution note (DESIGN.md): kernel SCTP is not portable or
 //! laptop-friendly; sctplite supplies exactly the SCTP properties S1AP
@@ -28,7 +29,8 @@ pub use assoc::{AssocState, Association, Event};
 pub use chunk::{ppid, Chunk, ChunkType, Frame, SctpError, MAX_PAYLOAD};
 pub use memory::{FaultInjector, MemoryLink};
 pub use tokio_transport::{
-    LinkMetrics, SctpListener, SctpRecvHalf, SctpSendHalf, SctpStream, StreamEvent, TransportError,
+    BurstCounts, BurstStats, LinkMetrics, SctpListener, SctpRecvHalf, SctpSendHalf, SctpStream,
+    StreamEvent, TransportError,
 };
 
 #[cfg(test)]
@@ -77,6 +79,19 @@ mod proptests {
         fn every_chunk_kind_roundtrips(tag in any::<u32>(), chunk in arb_chunk()) {
             let f = Frame { tag, chunk };
             prop_assert_eq!(Frame::decode(f.encode()).unwrap(), f);
+        }
+
+        /// `encode_into` appends exactly `encoded_len` bytes, equal to
+        /// `encode`, after whatever the buffer already holds.
+        #[test]
+        fn encode_into_appends_the_encoding(tag in any::<u32>(), chunk in arb_chunk(),
+                                            prefix in proptest::collection::vec(any::<u8>(), 0..16)) {
+            let f = Frame { tag, chunk };
+            let mut out = prefix.clone();
+            f.encode_into(&mut out);
+            prop_assert_eq!(out.len(), prefix.len() + f.encoded_len());
+            prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+            prop_assert_eq!(&out[prefix.len()..], &f.encode()[..]);
         }
 
         #[test]

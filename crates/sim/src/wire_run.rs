@@ -25,18 +25,19 @@ use scale_epc::{
     DriveMode, EmuCounts, EmuEvent, EmulatorConfig, EnbEmulator, ProcKind, ENB_BASE,
 };
 use scale_sctplite::{
-    ppid, SctpListener, SctpRecvHalf, SctpSendHalf, SctpStream, StreamEvent, TransportError,
+    ppid, BurstStats, SctpListener, SctpRecvHalf, SctpSendHalf, SctpStream, StreamEvent,
+    TransportError,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Bounded egress queue depth per link (frames buffered toward the
-/// writer task before senders block).
+/// Bounded egress queue depth per link, in frames buffered toward the
+/// writer task before senders block.
 const EGRESS_CAP: usize = 4096;
 /// Router heartbeat tick toward MMP links.
 const HB_TICK: Duration = Duration::from_millis(100);
@@ -287,6 +288,55 @@ fn send_wire(link: &SctpSendHalf, msg: &WireMsg) -> Result<(), TransportError> {
     link.send(1, ppid::SCALE_STATE, msg.encode())
 }
 
+/// Send (and empty) `msgs` as one burst: one queue push, one write.
+fn send_burst_wire(link: &SctpSendHalf, msgs: &mut Vec<WireMsg>) -> Result<(), TransportError> {
+    if msgs.is_empty() {
+        return Ok(());
+    }
+    link.send_burst(1, ppid::SCALE_STATE, msgs.drain(..).map(|m| m.encode()))
+}
+
+/// What [`read_burst`] saw besides the messages it decoded.
+struct Burst {
+    /// A heartbeat ack was among the events.
+    acked: bool,
+    /// Payloads that did not decode as a [`WireMsg`].
+    undecodable: u64,
+    /// The link error that ended the burst; the messages before it
+    /// were still delivered.
+    lost: Option<TransportError>,
+}
+
+/// Block for the next event on `rh`, then take every event already
+/// buffered behind it — the messages of one read, in order, decoded
+/// onto `msgs`.
+fn read_burst(rh: &mut SctpRecvHalf, msgs: &mut Vec<WireMsg>) -> Burst {
+    let mut burst = Burst {
+        acked: false,
+        undecodable: 0,
+        lost: None,
+    };
+    let mut next = tokio::runtime::block_on(rh.next_event()).map(Some);
+    loop {
+        match next {
+            Ok(Some(StreamEvent::Data { payload, .. })) => match WireMsg::decode(payload) {
+                Ok(m) => msgs.push(m),
+                Err(e) => {
+                    burst.undecodable += 1;
+                    eprintln!("link: undecodable wire message: {e}");
+                }
+            },
+            Ok(Some(StreamEvent::HeartbeatAck { .. })) => burst.acked = true,
+            Ok(None) => return burst,
+            Err(e) => {
+                burst.lost = Some(e);
+                return burst;
+            }
+        }
+        next = rh.try_next_event();
+    }
+}
+
 /// Dial `addr` with bounded retry (a respawned worker races the
 /// listener; a fresh topology races process startup).
 fn connect_retry(addr: &str, tag: u32) -> Result<SctpStream, TransportError> {
@@ -312,30 +362,24 @@ fn connect_retry(addr: &str, tag: u32) -> Result<SctpStream, TransportError> {
 }
 
 enum LinkIn {
-    Msg(WireMsg),
+    Msgs(Vec<WireMsg>),
     Down,
 }
 
-/// Pump one recv half into a channel as decoded wire messages.
+/// Pump one recv half into a channel, one item per read burst.
 /// Thread entry: owns its Sender clone so the channel lives exactly as
 /// long as the pump.
 #[allow(clippy::needless_pass_by_value)]
 fn pump_link(mut rh: SctpRecvHalf, tx: Sender<LinkIn>) {
     loop {
-        match tokio::runtime::block_on(rh.next_event()) {
-            Ok(StreamEvent::Data { payload, .. }) => match WireMsg::decode(payload) {
-                Ok(m) => {
-                    if tx.send(LinkIn::Msg(m)).is_err() {
-                        return;
-                    }
-                }
-                Err(e) => eprintln!("link: undecodable wire message: {e}"),
-            },
-            Ok(StreamEvent::HeartbeatAck { .. }) => {}
-            Err(_) => {
-                let _ = tx.send(LinkIn::Down);
-                return;
-            }
+        let mut msgs = Vec::new();
+        let burst = read_burst(&mut rh, &mut msgs);
+        if !msgs.is_empty() && tx.send(LinkIn::Msgs(msgs)).is_err() {
+            return;
+        }
+        if burst.lost.is_some() {
+            let _ = tx.send(LinkIn::Down);
+            return;
         }
     }
 }
@@ -436,6 +480,7 @@ pub fn run_enb(cfg: &WireRunConfig, cell: usize, addr: &str) -> i32 {
     let t0 = Instant::now();
     let mut next_arrival = 0usize;
     let mut link_down = false;
+    let mut uplinks = Vec::new();
     'drive: while !emu.done() {
         if t0.elapsed() > RUN_DEADLINE {
             eprintln!(
@@ -449,23 +494,22 @@ pub fn run_enb(cfg: &WireRunConfig, cell: usize, addr: &str) -> i32 {
             emu.arrival();
             next_arrival += 1;
         }
-        // Flush drive output before blocking: admissions/arrivals
-        // above may have produced uplinks.
+        // Flush drive output before blocking, as one burst:
+        // admissions/arrivals above and the downlinks handled last
+        // round may have produced uplinks.
         for ev in emu.drain() {
             match ev {
-                EmuEvent::Uplink { attach_hint, pdu } => {
-                    let up = WireMsg::Uplink {
-                        enb_id,
-                        attach_hint,
-                        pdu,
-                    };
-                    if send_wire(&link, &up).is_err() {
-                        link_down = true;
-                        break 'drive;
-                    }
-                }
+                EmuEvent::Uplink { attach_hint, pdu } => uplinks.push(WireMsg::Uplink {
+                    enb_id,
+                    attach_hint,
+                    pdu,
+                }),
                 EmuEvent::Completed { kind, elapsed } => lat.push(kind, elapsed),
             }
+        }
+        if send_burst_wire(&link, &mut uplinks).is_err() {
+            link_down = true;
+            break 'drive;
         }
         let wait = if next_arrival < schedule.len() {
             schedule[next_arrival].saturating_sub(t0.elapsed()).min(POLL)
@@ -473,21 +517,26 @@ pub fn run_enb(cfg: &WireRunConfig, cell: usize, addr: &str) -> i32 {
             POLL
         };
         match rx.recv_timeout(wait) {
-            Ok(LinkIn::Msg(msg)) => match msg {
-                WireMsg::ToEnb { pdu, .. } => emu.handle_downlink(pdu),
-                WireMsg::Settled { m_tmsi, active } => emu.settled(m_tmsi, active),
-                WireMsg::ProcFailed { m_tmsi } => emu.proc_failed(m_tmsi),
-                // MLB/fabric-internal traffic never reaches an eNodeB;
-                // named exhaustively so a new wire message fails to
-                // compile here instead of being silently dropped.
-                WireMsg::Hello { .. }
-                | WireMsg::Uplink { .. }
-                | WireMsg::Deliver { .. }
-                | WireMsg::Replicate { .. }
-                | WireMsg::DropCtx { .. }
-                | WireMsg::VmDown { .. }
-                | WireMsg::VmUp { .. } => {}
-            },
+            Ok(LinkIn::Msgs(msgs)) => {
+                for msg in msgs {
+                    match msg {
+                        WireMsg::ToEnb { pdu, .. } => emu.handle_downlink(pdu),
+                        WireMsg::Settled { m_tmsi, active } => emu.settled(m_tmsi, active),
+                        WireMsg::ProcFailed { m_tmsi } => emu.proc_failed(m_tmsi),
+                        // MLB/fabric-internal traffic never reaches an
+                        // eNodeB; named exhaustively so a new wire
+                        // message fails to compile here instead of
+                        // being silently dropped.
+                        WireMsg::Hello { .. }
+                        | WireMsg::Uplink { .. }
+                        | WireMsg::Deliver { .. }
+                        | WireMsg::Replicate { .. }
+                        | WireMsg::DropCtx { .. }
+                        | WireMsg::VmDown { .. }
+                        | WireMsg::VmUp { .. } => {}
+                    }
+                }
+            }
             Ok(LinkIn::Down) | Err(RecvTimeoutError::Disconnected) => {
                 link_down = true;
                 break 'drive;
@@ -556,30 +605,16 @@ pub fn run_mmp(cfg: &WireRunConfig, index: usize, addr: &str) -> i32 {
         return 2;
     }
 
-    let mut out = Vec::new();
+    // One read burst in, every output of it out as one burst.
+    let (mut inbox, mut out) = (Vec::new(), Vec::new());
     loop {
-        match tokio::runtime::block_on(rh.next_event()) {
-            Ok(StreamEvent::Data { payload, .. }) => {
-                match WireMsg::decode(payload) {
-                    Ok(msg) => node.handle(msg, &mut out),
-                    Err(e) => {
-                        node.errors += 1;
-                        eprintln!("mmp {index}: undecodable wire message: {e}");
-                    }
-                }
-                let mut lost = false;
-                for msg in out.drain(..) {
-                    if send_wire(&link, &msg).is_err() {
-                        lost = true;
-                        break;
-                    }
-                }
-                if lost {
-                    break;
-                }
-            }
-            Ok(StreamEvent::HeartbeatAck { .. }) => {}
-            Err(_) => break,
+        let burst = read_burst(&mut rh, &mut inbox);
+        node.errors += burst.undecodable;
+        for msg in inbox.drain(..) {
+            node.handle(msg, &mut out);
+        }
+        if send_burst_wire(&link, &mut out).is_err() || burst.lost.is_some() {
+            break;
         }
     }
 
@@ -614,10 +649,10 @@ enum RouterEvent {
         id: usize,
         link: SctpSendHalf,
     },
-    Msg {
+    /// The messages of one read burst on one link, in order.
+    Msgs {
         role: WireRole,
-        id: usize,
-        msg: WireMsg,
+        msgs: Vec<WireMsg>,
     },
     Pong {
         id: usize,
@@ -628,12 +663,39 @@ enum RouterEvent {
     },
 }
 
+/// A latch the MLB router opens once every configured MMP has linked.
+/// eNB link threads wait on it before reading past their `Hello`, so no
+/// uplink is routed while a worker has no link yet; their traffic
+/// waits in the socket buffers meanwhile.
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gate {
+    fn open(&self) {
+        *self.open.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        self.opened.notify_all();
+    }
+
+    fn wait(&self) {
+        let mut open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+        while !*open {
+            open = self
+                .opened
+                .wait(open)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
 /// Per-accepted-link thread on the MLB: handshake (first message must
-/// be a `Hello`), then pump decoded messages to the router.
-/// Thread entry: owns its Sender clone so the channel lives exactly as
-/// long as the link.
+/// be a `Hello`), then forward each read burst to the router as one
+/// event. Thread entry: owns its Sender clone so the channel lives
+/// exactly as long as the link.
 #[allow(clippy::needless_pass_by_value)]
-fn mlb_link_loop(sh: SctpSendHalf, mut rh: SctpRecvHalf, tx: Sender<RouterEvent>) {
+fn mlb_link_loop(sh: SctpSendHalf, mut rh: SctpRecvHalf, tx: Sender<RouterEvent>, gate: Arc<Gate>) {
     let (role, id) = match tokio::runtime::block_on(rh.next_event()) {
         Ok(StreamEvent::Data { payload, .. }) => match WireMsg::decode(payload) {
             Ok(WireMsg::Hello { role, id }) => (role, id as usize),
@@ -647,24 +709,37 @@ fn mlb_link_loop(sh: SctpSendHalf, mut rh: SctpRecvHalf, tx: Sender<RouterEvent>
     if tx.send(RouterEvent::Linked { role, id, link: sh }).is_err() {
         return;
     }
+    if role == WireRole::Enb {
+        gate.wait();
+    }
     loop {
-        match tokio::runtime::block_on(rh.next_event()) {
-            Ok(StreamEvent::Data { payload, .. }) => match WireMsg::decode(payload) {
-                Ok(msg) => {
-                    if tx.send(RouterEvent::Msg { role, id, msg }).is_err() {
-                        return;
-                    }
-                }
-                Err(e) => eprintln!("mlb: undecodable message from {role:?} {id}: {e}"),
-            },
-            Ok(StreamEvent::HeartbeatAck { .. }) => {
-                if role == WireRole::Mmp && tx.send(RouterEvent::Pong { id }).is_err() {
-                    return;
-                }
-            }
-            Err(_) => {
+        let mut msgs = Vec::new();
+        let burst = read_burst(&mut rh, &mut msgs);
+        if !msgs.is_empty() && tx.send(RouterEvent::Msgs { role, msgs }).is_err() {
+            return;
+        }
+        if burst.acked && role == WireRole::Mmp && tx.send(RouterEvent::Pong { id }).is_err() {
+            return;
+        }
+        if burst.lost.is_some() {
+            let _ = tx.send(RouterEvent::Down { role, id });
+            return;
+        }
+    }
+}
+
+/// Send each link's queued messages as one burst, emptying the queues.
+/// A link whose send fails is reported down to the router.
+fn send_bursts<'a>(
+    bursts: &mut [Vec<WireMsg>],
+    link: impl Fn(usize) -> Option<&'a SctpSendHalf>,
+    role: WireRole,
+    tx: &Sender<RouterEvent>,
+) {
+    for (id, burst) in bursts.iter_mut().enumerate() {
+        if let Some(l) = link(id) {
+            if send_burst_wire(l, burst).is_err() {
                 let _ = tx.send(RouterEvent::Down { role, id });
-                return;
             }
         }
     }
@@ -678,7 +753,8 @@ struct MmpLink {
 
 /// MLB front process main: bind, announce `PORT`, route between eNB
 /// and MMP links until every eNB link has closed, then print one
-/// `REPORT` line.
+/// `REPORT` line. No eNB traffic is routed before every configured MMP
+/// has linked once, whatever order the processes start in.
 pub fn run_mlb(cfg: &WireRunConfig) -> i32 {
     let topo = cfg.topo();
     let mut mlb = MlbState::new(&topo);
@@ -695,12 +771,18 @@ pub fn run_mlb(cfg: &WireRunConfig) -> i32 {
 
     let (tx, rx) = channel::<RouterEvent>();
     let accept_tx = tx.clone();
+    let gate = Arc::new(Gate::default());
+    let accept_gate = Arc::clone(&gate);
+    let io = Arc::new(BurstStats::default());
+    let accept_io = Arc::clone(&io);
     thread::spawn(move || loop {
         match tokio::runtime::block_on(listener.accept()) {
-            Ok(stream) => {
+            Ok(mut stream) => {
+                stream.count_bursts_into(Arc::clone(&accept_io));
                 let (sh, rh) = stream.into_split(EGRESS_CAP);
                 let link_tx = accept_tx.clone();
-                thread::spawn(move || mlb_link_loop(sh, rh, link_tx));
+                let link_gate = Arc::clone(&accept_gate);
+                thread::spawn(move || mlb_link_loop(sh, rh, link_tx, link_gate));
             }
             Err(e) => {
                 eprintln!("mlb: accept failed: {e}");
@@ -712,43 +794,45 @@ pub fn run_mlb(cfg: &WireRunConfig) -> i32 {
     let mut enb_links: Vec<Option<SctpSendHalf>> = (0..cfg.n_enbs).map(|_| None).collect();
     let mut mmp_links: Vec<Option<MmpLink>> = (0..cfg.n_mmps).map(|_| None).collect();
     let mut mmp_ever_down = vec![false; cfg.n_mmps];
+    let mut mmp_linked = vec![false; cfg.n_mmps];
     let mut health = HealthTracker::new(scale_core::HealthConfig::default());
     let mut reconnects = 0u64;
     let mut enbs_closed = 0usize;
     let mut next_nonce = 1u64;
     let mut out: Vec<MlbOut> = Vec::new();
+    // Router output grouped per link, so each link gets one burst per
+    // router event; per-link order is the routing order.
+    let mut enb_bursts: Vec<Vec<WireMsg>> = (0..cfg.n_enbs).map(|_| Vec::new()).collect();
+    let mut mmp_bursts: Vec<Vec<WireMsg>> = (0..cfg.n_mmps).map(|_| Vec::new()).collect();
     let start = Instant::now();
 
     macro_rules! dispatch {
         () => {
             for o in out.drain(..) {
                 match o {
-                    MlbOut::Enb { enb, msg } => match enb_links.get(enb).and_then(|l| l.as_ref()) {
-                        Some(l) => {
-                            if send_wire(l, &msg).is_err() {
-                                let _ = tx.send(RouterEvent::Down {
-                                    role: WireRole::Enb,
-                                    id: enb,
-                                });
-                            }
+                    MlbOut::Enb { enb, msg } => {
+                        if enb_links.get(enb).is_some_and(Option::is_some) {
+                            enb_bursts[enb].push(msg);
+                        } else {
+                            mlb.stats.dropped += 1;
                         }
-                        None => mlb.stats.dropped += 1,
-                    },
+                    }
                     MlbOut::Mmp { mmp, msg } => {
-                        match mmp_links.get(mmp).and_then(|l| l.as_ref()) {
-                            Some(l) => {
-                                if send_wire(&l.link, &msg).is_err() {
-                                    let _ = tx.send(RouterEvent::Down {
-                                        role: WireRole::Mmp,
-                                        id: mmp,
-                                    });
-                                }
-                            }
-                            None => mlb.stats.dropped += 1,
+                        if mmp_links.get(mmp).is_some_and(Option::is_some) {
+                            mmp_bursts[mmp].push(msg);
+                        } else {
+                            mlb.stats.dropped += 1;
                         }
                     }
                 }
             }
+            send_bursts(&mut enb_bursts, |i| enb_links[i].as_ref(), WireRole::Enb, &tx);
+            send_bursts(
+                &mut mmp_bursts,
+                |i| mmp_links[i].as_ref().map(|l| &l.link),
+                WireRole::Mmp,
+                &tx,
+            );
         };
     }
 
@@ -781,6 +865,10 @@ pub fn run_mlb(cfg: &WireRunConfig) -> i32 {
                         outstanding: None,
                     });
                     health.mark_up(id as u32);
+                    mmp_linked[id] = true;
+                    if mmp_linked.iter().all(|&l| l) {
+                        gate.open();
+                    }
                     if mmp_ever_down[id] {
                         reconnects += 1;
                         mlb.on_mmp_reconnected(id, &mut out);
@@ -788,21 +876,20 @@ pub fn run_mlb(cfg: &WireRunConfig) -> i32 {
                     }
                 }
             },
-            Ok(RouterEvent::Msg { role, id, msg }) => {
-                match role {
-                    WireRole::Enb => {
-                        if let WireMsg::Uplink {
-                            enb_id,
-                            attach_hint,
-                            pdu,
-                        } = msg
-                        {
-                            mlb.on_enb(enb_id, attach_hint, pdu, &mut out);
+            Ok(RouterEvent::Msgs { role, msgs }) => {
+                for msg in msgs {
+                    match role {
+                        WireRole::Enb => {
+                            if let WireMsg::Uplink {
+                                enb_id,
+                                attach_hint,
+                                pdu,
+                            } = msg
+                            {
+                                mlb.on_enb(enb_id, attach_hint, pdu, &mut out);
+                            }
                         }
-                    }
-                    WireRole::Mmp => {
-                        let _ = id;
-                        mlb.on_mmp(msg, &mut out);
+                        WireRole::Mmp => mlb.on_mmp(msg, &mut out),
                     }
                 }
                 dispatch!();
@@ -855,9 +942,11 @@ pub fn run_mlb(cfg: &WireRunConfig) -> i32 {
     }
 
     let s = mlb.stats;
+    let b = io.snapshot();
     println!(
         "REPORT role=mlb routed_attaches={} routed_idle={} forwarded_uplinks={} \
-         settled_relayed={} proc_failures={} dropped={} errors={} reconnects={reconnects}",
+         settled_relayed={} proc_failures={} dropped={} errors={} reconnects={reconnects} \
+         reads={} frames_read={} writes={} frames_written={}",
         s.routed_attaches,
         s.routed_idle,
         s.forwarded_uplinks,
@@ -865,6 +954,10 @@ pub fn run_mlb(cfg: &WireRunConfig) -> i32 {
         s.proc_failures,
         s.dropped,
         s.errors,
+        b.reads,
+        b.frames_read,
+        b.writes,
+        b.frames_written,
     );
     // Link-metrics export (DESIGN.md §14): publish the router counters
     // through the shared observability registry and emit them as one
@@ -873,6 +966,7 @@ pub fn run_mlb(cfg: &WireRunConfig) -> i32 {
     let links_live = enb_links.iter().flatten().count() + mmp_links.iter().flatten().count();
     let observer = scale_core::WireLinkObserver::new(Arc::new(scale_obs::Registry::new()));
     observer.publish(&s, reconnects, links_live as u64);
+    observer.publish_bursts(&b);
     println!("METRICS {}", scale_obs::report_kv(observer.registry()));
     // Let per-link egress queues drain before the process exit tears
     // the TCP streams down (enqueued != delivered).
