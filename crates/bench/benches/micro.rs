@@ -1,10 +1,14 @@
 //! Criterion micro-benchmarks for the building blocks whose costs the
 //! per-request compute model is grounded in: ring lookups (the MLB's
-//! per-message work), codec encode/decode, Milenage vector generation
-//! (the HSS's per-attach work), context serialization (the replication
-//! unit) and raw simulator throughput.
+//! per-message work), codec encode/decode, the attach path's crypto
+//! (AES-128, Milenage vector generation, EIA2, the HMAC-SHA-256 KDF),
+//! context serialization (the replication unit) and raw simulator
+//! throughput.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use scale_crypto::aes::Aes128;
+use scale_crypto::hmac::hmac_sha256;
+use scale_crypto::kdf::derive_nas_keys;
 use scale_crypto::milenage::Milenage;
 use scale_hashring::HashRing;
 use scale_nas::{EmmMessage, Guti, MobileId, Plmn, Tai};
@@ -79,6 +83,37 @@ fn codec_benches(c: &mut Criterion) {
 
 fn crypto_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("crypto");
+    group.bench_function("aes128_key_expand", |b| {
+        let mut key = [0x2bu8; 16];
+        b.iter(|| {
+            key[0] = key[0].wrapping_add(1);
+            black_box(Aes128::new(black_box(&key)))
+        })
+    });
+    group.bench_function("aes128_encrypt_block", |b| {
+        let aes = Aes128::new(&[0x2bu8; 16]);
+        let mut block = [0u8; 16];
+        b.iter(|| {
+            aes.encrypt_block(&mut block);
+            black_box(block)
+        })
+    });
+    group.bench_function("hmac_sha256_32B_key", |b| {
+        // K_ASME-sized key over a KDF-sized parameter string.
+        let key = [0x33u8; 32];
+        let mut msg = [0x10u8; 14];
+        b.iter(|| {
+            msg[1] = msg[1].wrapping_add(1);
+            black_box(hmac_sha256(&key, &msg))
+        })
+    });
+    group.bench_function("derive_nas_keys", |b| {
+        let mut ck = [1u8; 16];
+        b.iter(|| {
+            ck[0] = ck[0].wrapping_add(1);
+            black_box(derive_nas_keys(&ck, &[2; 16], &[0x00, 0xf1, 0x10], &[3; 6]))
+        })
+    });
     let mil = Milenage::from_op(&[7u8; 16], b"scale-operator-0");
     group.bench_function("milenage_f2345", |b| {
         let mut rand = [0u8; 16];

@@ -8,8 +8,15 @@
 //!
 //! The generic KDF (TS 33.220 annex B) is `HMAC-SHA-256(key, FC || P0 ||
 //! L0 || P1 || L1 ...)`; each derivation is tagged by its FC byte.
+//!
+//! The parameter string is streamed into the keyed HMAC state, never
+//! built in a buffer; [`nas_keys_from_kasme`] keys one HMAC state with
+//! K_ASME and derives both NAS keys from it (6 SHA-256 compressions
+//! instead of 8).
+//!
+//! lint: hot-path
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacSha256;
 
 /// FC tag for K_ASME derivation (TS 33.401 A.2).
 pub const FC_KASME: u8 = 0x10;
@@ -44,13 +51,18 @@ impl AlgKeyType {
 /// Each `(param, len)` pair is appended as `P_i || L_i` with `L_i` a
 /// 2-byte big-endian length.
 pub fn kdf(key: &[u8], fc: u8, params: &[&[u8]]) -> [u8; 32] {
-    let mut s = Vec::with_capacity(1 + params.iter().map(|p| p.len() + 2).sum::<usize>());
-    s.push(fc);
+    kdf_keyed(&HmacSha256::new(key), fc, params)
+}
+
+/// [`kdf`] under an already keyed HMAC state.
+fn kdf_keyed(prf: &HmacSha256, fc: u8, params: &[&[u8]]) -> [u8; 32] {
+    let mut s = prf.start();
+    s.update(&[fc]);
     for p in params {
-        s.extend_from_slice(p);
-        s.extend_from_slice(&(p.len() as u16).to_be_bytes());
+        s.update(p);
+        s.update(&(p.len() as u16).to_be_bytes());
     }
-    hmac_sha256(key, &s)
+    prf.finish(s)
 }
 
 /// Derive K_ASME from CK/IK, the serving-network id (PLMN, 3 bytes) and
@@ -65,7 +77,12 @@ pub fn derive_kasme(ck: &[u8; 16], ik: &[u8; 16], plmn: &[u8; 3], sqn_xor_ak: &[
 /// Derive a 128-bit algorithm key (e.g. K_NASint for EIA2) from K_ASME,
 /// per TS 33.401 A.7: the low-order 128 bits of the 256-bit KDF output.
 pub fn derive_alg_key(kasme: &[u8; 32], ty: AlgKeyType, alg_id: u8) -> [u8; 16] {
-    let out = kdf(kasme, FC_ALG_KEY, &[&[ty.distinguisher()], &[alg_id]]);
+    alg_key_keyed(&HmacSha256::new(kasme), ty, alg_id)
+}
+
+/// [`derive_alg_key`] under an HMAC state keyed with K_ASME.
+fn alg_key_keyed(kasme_prf: &HmacSha256, ty: AlgKeyType, alg_id: u8) -> [u8; 16] {
+    let out = kdf_keyed(kasme_prf, FC_ALG_KEY, &[&[ty.distinguisher()], &[alg_id]]);
     crate::take(&out[16..])
 }
 
@@ -91,11 +108,17 @@ pub fn derive_nas_keys(
     plmn: &[u8; 3],
     sqn_xor_ak: &[u8; 6],
 ) -> NasSecurityKeys {
-    let kasme = derive_kasme(ck, ik, plmn, sqn_xor_ak);
+    nas_keys_from_kasme(derive_kasme(ck, ik, plmn, sqn_xor_ak))
+}
+
+/// K_NASenc and K_NASint for EEA2/EIA2 from K_ASME (TS 33.401 A.7),
+/// both derived under one HMAC state keyed with K_ASME.
+pub fn nas_keys_from_kasme(kasme: [u8; 32]) -> NasSecurityKeys {
+    let prf = HmacSha256::new(&kasme);
     NasSecurityKeys {
         kasme,
-        k_nas_enc: derive_alg_key(&kasme, AlgKeyType::NasEnc, ALG_ID_AES),
-        k_nas_int: derive_alg_key(&kasme, AlgKeyType::NasInt, ALG_ID_AES),
+        k_nas_enc: alg_key_keyed(&prf, AlgKeyType::NasEnc, ALG_ID_AES),
+        k_nas_int: alg_key_keyed(&prf, AlgKeyType::NasInt, ALG_ID_AES),
     }
 }
 
@@ -134,6 +157,35 @@ mod tests {
         let again = derive_nas_keys(&[1; 16], &[2; 16], &[0x13, 0x00, 0x14], &[5; 6]);
         assert_eq!(keys, again);
         assert_ne!(keys.k_nas_enc, keys.k_nas_int);
+    }
+
+    #[test]
+    fn one_keyed_state_equals_two_alg_key_derivations() {
+        for seed in 0..16u8 {
+            let kasme: [u8; 32] = core::array::from_fn(|i| seed.wrapping_mul(31) ^ i as u8);
+            let keys = nas_keys_from_kasme(kasme);
+            assert_eq!(keys.kasme, kasme);
+            assert_eq!(
+                keys.k_nas_enc,
+                derive_alg_key(&kasme, AlgKeyType::NasEnc, ALG_ID_AES)
+            );
+            assert_eq!(
+                keys.k_nas_int,
+                derive_alg_key(&kasme, AlgKeyType::NasInt, ALG_ID_AES)
+            );
+        }
+    }
+
+    /// The streamed parameter string equals HMAC over the contiguous
+    /// `FC || P0 || L0 || P1 || L1` string.
+    #[test]
+    fn kdf_equals_hmac_over_the_parameter_string() {
+        let key = [0x42u8; 32];
+        let s = [FC_KASME, 1, 2, 3, 0, 3, 9, 9, 9, 9, 9, 9, 0, 6];
+        assert_eq!(
+            kdf(&key, FC_KASME, &[&[1, 2, 3], &[9; 6]]),
+            crate::hmac::hmac_sha256(&key, &s)
+        );
     }
 
     #[test]

@@ -15,10 +15,12 @@
 //! Each module is validated against its published test vectors
 //! (RFC 1321, FIPS 180-4, RFC 4231, FIPS-197, RFC 4493, TS 35.208).
 //!
-//! These implementations favour clarity over speed; they are more than
-//! fast enough for control-plane rates (an attach costs a handful of AES
-//! block operations), and `scale-bench` measures them so the per-request
-//! compute model in the simulator is grounded in real numbers.
+//! The attach path's primitives are fast portable safe Rust: T-table
+//! AES-128 with compile-time tables, CMAC over a list of slices, and a
+//! keyed HMAC state that the NAS KDF reuses. `scale-bench` measures
+//! them (`crypto` group of `benches/micro.rs`), so each attach costs
+//! its real crypto in the per-request compute model. Byte-wise
+//! reference implementations in the test modules are the oracles.
 
 #![forbid(unsafe_code)]
 

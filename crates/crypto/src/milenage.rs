@@ -15,29 +15,13 @@ const R4: u32 = 64;
 const R5: u32 = 96;
 
 fn xor16(a: &[u8; 16], b: &[u8; 16]) -> [u8; 16] {
-    let mut out = [0u8; 16];
-    for i in 0..16 {
-        out[i] = a[i] ^ b[i];
-    }
-    out
+    (u128::from_be_bytes(*a) ^ u128::from_be_bytes(*b)).to_be_bytes()
 }
 
-/// Cyclic left rotation of a 128-bit value by `bits` (multiple of 8 for
-/// the default constants, but implemented generically).
+/// Cyclic left rotation of a 128-bit big-endian value by `bits` (a
+/// multiple of 8 for the default constants, but any amount works).
 fn rot128(x: &[u8; 16], bits: u32) -> [u8; 16] {
-    let byte_shift = (bits / 8) as usize % 16;
-    let bit_shift = bits % 8;
-    let mut out = [0u8; 16];
-    for i in 0..16 {
-        let hi = x[(i + byte_shift) % 16];
-        let lo = x[(i + byte_shift + 1) % 16];
-        out[i] = if bit_shift == 0 {
-            hi
-        } else {
-            (hi << bit_shift) | (lo >> (8 - bit_shift))
-        };
-    }
-    out
+    u128::from_be_bytes(*x).rotate_left(bits).to_be_bytes()
 }
 
 /// Milenage constants c1..c5: c1 = 0, c2 = ..01, c3 = ..02, c4 = ..04, c5 = ..08.
@@ -214,6 +198,29 @@ mod tests {
         let v2 = m.f2345(&[2u8; 16]);
         assert_ne!(v1.res, v2.res);
         assert_ne!(v1.ck, v2.ck);
+    }
+
+    /// The seed's byte-wise rotation, the oracle for the u128 one.
+    fn reference_rot128(x: &[u8; 16], bits: u32) -> [u8; 16] {
+        let byte_shift = (bits / 8) as usize % 16;
+        let bit_shift = bits % 8;
+        core::array::from_fn(|i| {
+            let hi = x[(i + byte_shift) % 16];
+            let lo = x[(i + byte_shift + 1) % 16];
+            if bit_shift == 0 {
+                hi
+            } else {
+                (hi << bit_shift) | (lo >> (8 - bit_shift))
+            }
+        })
+    }
+
+    #[test]
+    fn rot128_matches_bytewise_rotation() {
+        let x: [u8; 16] = core::array::from_fn(|i| (i as u8).wrapping_mul(0x9d) ^ 0x5a);
+        for bits in 0..=128 {
+            assert_eq!(rot128(&x, bits), reference_rot128(&x, bits), "bits {bits}");
+        }
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! Used as the PRF underneath HMAC for the 3GPP key-derivation function
 //! (TS 33.401 annex A) that derives K_ASME and the NAS keys during the
 //! EPS AKA run on the attach path.
+//!
+//! lint: hot-path
 
 /// Round constants: first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes (FIPS 180-4 §4.2.2).
@@ -56,6 +58,25 @@ impl Sha256 {
         }
     }
 
+    /// A context that has already absorbed exactly one 64-byte block
+    /// whose compression left `state` (an HMAC pad midstate).
+    pub(crate) fn from_midstate(state: [u32; 8]) -> Self {
+        Sha256 {
+            state,
+            len: 64,
+            buf: [0u8; 64],
+            buf_len: 0,
+        }
+    }
+
+    /// The chaining state after compressing one 64-byte `block` from
+    /// the initial hash value.
+    pub(crate) fn midstate(block: &[u8; 64]) -> [u32; 8] {
+        let mut state = H0;
+        compress(&mut state, block);
+        state
+    }
+
     /// Absorb `data`.
     pub fn update(&mut self, data: &[u8]) {
         self.len = self.len.wrapping_add(data.len() as u64);
@@ -66,38 +87,38 @@ impl Sha256 {
             self.buf_len += take;
             rest = &rest[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            rest = tail;
+        let mut blocks = rest.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.state, &crate::take(block));
         }
+        rest = blocks.remainder();
         if !rest.is_empty() {
             self.buf[..rest.len()].copy_from_slice(rest);
             self.buf_len = rest.len();
         }
     }
 
-    /// Finish and return the 32-byte digest.
+    /// Finish and return the 32-byte digest. The padding (0x80, zeros,
+    /// 64-bit length) is written into the block buffer at once; it
+    /// spills into a second block when fewer than 9 bytes are free.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            compress(&mut self.state, &self.buf);
+            self.buf = [0u8; 64];
         }
-        let mut block = [0u8; 64];
-        block[..56].copy_from_slice(&self.buf[..56]);
-        block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (o, word) in out.chunks_exact_mut(4).zip(self.state) {
+            o.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
@@ -108,44 +129,46 @@ impl Sha256 {
         ctx.update(data);
         ctx.finalize()
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(crate::take(chunk));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-            *s = s.wrapping_add(v);
-        }
+/// The SHA-256 compression function: fold one 64-byte block into
+/// `state` (FIPS 180-4 §6.2.2).
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes(crate::take(chunk));
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -194,5 +217,55 @@ mod tests {
             ctx.update(&data[split..]);
             assert_eq!(ctx.finalize(), Sha256::digest(&data), "split {split}");
         }
+    }
+
+    /// The seed's padding: 0x80, then zero bytes one `update` at a time
+    /// until 56 bytes of the block are used, then the bit length.
+    fn bytewise_padding_digest(data: &[u8]) -> [u8; 32] {
+        let mut ctx = Sha256::new();
+        ctx.update(data);
+        let bit_len = ctx.len.wrapping_mul(8);
+        ctx.update(&[0x80]);
+        while ctx.buf_len != 56 {
+            ctx.update(&[0]);
+        }
+        ctx.update(&bit_len.to_be_bytes());
+        assert_eq!(ctx.buf_len, 0);
+        let mut out = [0u8; 32];
+        for (o, word) in out.chunks_exact_mut(4).zip(ctx.state) {
+            o.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// One-write padding equals byte-wise padding at the lengths where
+    /// the length field just fits (55), just spills (56, 63), lands on
+    /// a block boundary (64) and spills in the second block (119), for
+    /// one-shot and split absorption alike.
+    #[test]
+    fn block_padding_matches_bytewise_padding() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 7 % 251) as u8).collect();
+        for len in [0usize, 1, 55, 56, 57, 63, 64, 65, 119, 120, 128] {
+            let msg = &data[..len];
+            let want = bytewise_padding_digest(msg);
+            assert_eq!(Sha256::digest(msg), want, "len {len}");
+            for split in [0, len / 2, len] {
+                let mut ctx = Sha256::new();
+                ctx.update(&msg[..split]);
+                ctx.update(&msg[split..]);
+                assert_eq!(ctx.finalize(), want, "len {len} split {split}");
+            }
+        }
+    }
+
+    #[test]
+    fn midstate_resumes_after_one_block() {
+        let block = [0x36u8; 64];
+        let mut a = Sha256::from_midstate(Sha256::midstate(&block));
+        a.update(b"tail");
+        let mut b = Sha256::new();
+        b.update(&block);
+        b.update(b"tail");
+        assert_eq!(a.finalize(), b.finalize());
     }
 }

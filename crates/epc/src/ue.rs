@@ -4,7 +4,7 @@
 //! paging responses and detach.
 
 use bytes::Bytes;
-use scale_crypto::kdf::{derive_alg_key, derive_kasme, AlgKeyType, NasSecurityKeys, ALG_ID_AES};
+use scale_crypto::kdf::{derive_kasme, nas_keys_from_kasme, NasSecurityKeys};
 use scale_crypto::milenage::Milenage;
 use scale_nas::security::{Direction, SecurityHeader};
 use scale_nas::{is_protected, EmmMessage, Guti, MobileId, NasError, NasSecurityContext, Plmn, Tai};
@@ -240,11 +240,7 @@ impl Ue {
                 // Derive K_ASME and park the NAS keys until the SMC.
                 let sqn_xor_ak: [u8; 6] = scale_crypto::take(&autn[..6]);
                 let kasme = derive_kasme(&out.ck, &out.ik, &self.plmn.0, &sqn_xor_ak);
-                self.pending_keys = Some(NasSecurityKeys {
-                    kasme,
-                    k_nas_enc: derive_alg_key(&kasme, AlgKeyType::NasEnc, ALG_ID_AES),
-                    k_nas_int: derive_alg_key(&kasme, AlgKeyType::NasInt, ALG_ID_AES),
-                });
+                self.pending_keys = Some(nas_keys_from_kasme(kasme));
                 Ok(vec![UeEvent::SendNas(
                     EmmMessage::AuthenticationResponse { res: out.res }.encode(),
                 )])

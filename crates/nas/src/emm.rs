@@ -204,10 +204,16 @@ impl EmmMessage {
     /// Encode as a plain NAS message: `PD/SHT || type || body`.
     pub fn encode(&self) -> Bytes {
         let mut w = Writer::new();
+        self.encode_into(&mut w);
+        w.finish()
+    }
+
+    /// Append the plain encoding to `w` (the security wrapper writes
+    /// it straight after its own header).
+    pub(crate) fn encode_into(&self, w: &mut Writer) {
         w.u8(PD_EMM); // security header type 0 (plain) in the high nibble
         w.u8(self.msg_type());
-        self.encode_body(&mut w);
-        w.finish()
+        self.encode_body(w);
     }
 
     pub(crate) fn encode_body(&self, w: &mut Writer) {

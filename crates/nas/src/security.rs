@@ -82,6 +82,9 @@ pub struct NasSecurityContext {
 /// NAS bearer id used for EIA2/EEA2 (always 0 for NAS signalling).
 const NAS_BEARER: u8 = 0;
 
+/// Offset of SEQ in a protected message, after `(SHT << 4 | PD) || MAC(4)`.
+const SEQ_OFFSET: usize = 5;
+
 impl NasSecurityContext {
     pub fn new(keys: NasSecurityKeys, ksi: u8) -> Self {
         NasSecurityContext {
@@ -111,35 +114,37 @@ impl NasSecurityContext {
         block
     }
 
+    /// EIA2 MAC with the full COUNT over the wire bytes `SEQ || inner`,
+    /// read in place from the protected message.
+    fn mac(&self, count: u32, dir: Direction, seq_and_inner: &[u8]) -> [u8; 4] {
+        eia2_mac(
+            &self.keys.k_nas_int,
+            count,
+            NAS_BEARER,
+            matches!(dir, Direction::Downlink),
+            seq_and_inner,
+        )
+    }
+
     /// Integrity-protect (and optionally cipher) `msg`, consuming one
-    /// COUNT in `dir`.
+    /// COUNT in `dir`. The message is encoded straight into the output
+    /// buffer, ciphered and MACed there; the MAC is filled in last.
     pub fn protect(&mut self, msg: &EmmMessage, dir: Direction, header: SecurityHeader) -> Bytes {
         let count = *self.count_mut(dir);
         *self.count_mut(dir) += 1;
         let seq = (count & 0xff) as u8;
 
-        let mut inner = msg.encode().to_vec();
-        if header.ciphered() {
-            let aes = Aes128::new(&self.keys.k_nas_enc);
-            aes.ctr_xor(&Self::ctr_block(count, dir), &mut inner);
-        }
-        // MAC over SEQ || inner with the full COUNT.
-        let mut mac_input = Vec::with_capacity(1 + inner.len());
-        mac_input.push(seq);
-        mac_input.extend_from_slice(&inner);
-        let mac = eia2_mac(
-            &self.keys.k_nas_int,
-            count,
-            NAS_BEARER,
-            matches!(dir, Direction::Downlink),
-            &mac_input,
-        );
-
         let mut w = Writer::new();
         w.u8((header.code() << 4) | PD_EMM);
-        w.slice(&mac);
+        w.slice(&[0; 4]);
         w.u8(seq);
-        w.slice(&inner);
+        msg.encode_into(&mut w);
+        if header.ciphered() {
+            let aes = Aes128::new(&self.keys.k_nas_enc);
+            aes.ctr_xor(&Self::ctr_block(count, dir), &mut w.buf[SEQ_OFFSET + 1..]);
+        }
+        let mac = self.mac(count, dir, &w.buf[SEQ_OFFSET..]);
+        w.buf[1..SEQ_OFFSET].copy_from_slice(&mac);
         w.finish()
     }
 
@@ -162,8 +167,10 @@ impl NasSecurityContext {
             value: (first >> 4) as u64,
         })?;
         let mac: [u8; 4] = r.array("nas mac")?;
-        let seq = r.u8("nas seq")?;
-        let mut inner = r.rest().to_vec();
+        // `SEQ || inner` is the MAC input; it is MACed in place.
+        r.need("nas seq", 1)?;
+        let seq_and_inner = r.rest();
+        let seq = seq_and_inner[0];
 
         // Reconstruct COUNT: local expectation with the wire SEQ spliced
         // into the low byte, bumping the overflow counter on wrap.
@@ -180,26 +187,21 @@ impl NasSecurityContext {
             });
         }
 
-        let mut mac_input = Vec::with_capacity(1 + inner.len());
-        mac_input.push(seq);
-        mac_input.extend_from_slice(&inner);
-        let want = eia2_mac(
-            &self.keys.k_nas_int,
-            count,
-            NAS_BEARER,
-            matches!(dir, Direction::Downlink),
-            &mac_input,
-        );
-        if want != mac {
+        if self.mac(count, dir, &seq_and_inner) != mac {
             return Err(NasError::BadMac);
         }
 
-        if header.ciphered() {
+        let inner = seq_and_inner.slice(1..);
+        let plain = if header.ciphered() {
+            let mut inner = inner.to_vec();
             let aes = Aes128::new(&self.keys.k_nas_enc);
             aes.ctr_xor(&Self::ctr_block(count, dir), &mut inner);
-        }
+            Bytes::from(inner)
+        } else {
+            inner
+        };
         *self.count_mut(dir) = count + 1;
-        EmmMessage::decode(Bytes::from(inner))
+        EmmMessage::decode(plain)
     }
 
     /// Short MAC for the Service Request message (2 bytes, as in the

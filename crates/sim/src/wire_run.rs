@@ -15,7 +15,9 @@
 //!
 //! Child processes report through stdout (the vendored serde has no
 //! `Deserialize`): the MLB prints `PORT <n>` once its listener is
-//! bound, and every role prints one `REPORT k=v ...` line at exit.
+//! bound, the eNodeB roles print `PROGRESS sessions_done=<n>` as
+//! sessions complete, and every role prints one `REPORT k=v ...` line at
+//! exit.
 
 use crate::openloop::poisson_schedule;
 use crate::shard_driver::ScaleOutConfig;
@@ -481,7 +483,15 @@ pub fn run_enb(cfg: &WireRunConfig, cell: usize, addr: &str) -> i32 {
     let mut next_arrival = 0usize;
     let mut link_down = false;
     let mut uplinks = Vec::new();
+    // About 32 `PROGRESS` lines per run plus a final one, so a harness
+    // can time fault injection on observed progress, not the wall clock.
+    let progress_step = (n_local as u64 / 32).max(1);
+    let mut next_progress = progress_step;
     'drive: while !emu.done() {
+        if emu.counts.sessions_done >= next_progress {
+            println!("PROGRESS sessions_done={}", emu.counts.sessions_done);
+            next_progress = emu.counts.sessions_done + progress_step;
+        }
         if t0.elapsed() > RUN_DEADLINE {
             eprintln!(
                 "enb {cell}: deadline exceeded ({} of {} sessions done)",
@@ -545,6 +555,7 @@ pub fn run_enb(cfg: &WireRunConfig, cell: usize, addr: &str) -> i32 {
         }
     }
     let wall_ms = t0.elapsed().as_millis() as u64;
+    println!("PROGRESS sessions_done={}", emu.counts.sessions_done);
     if link_down && !emu.done() {
         eprintln!("enb {cell}: MLB link lost mid-drive");
         return 2;
@@ -1152,6 +1163,39 @@ impl WireDeployment {
         self.mmps[index].child.kill()?;
         self.mmps[index].child.wait()?;
         Ok(())
+    }
+
+    /// Sessions completed so far, summed over the eNodeBs' latest
+    /// `PROGRESS` lines.
+    pub fn sessions_done(&self) -> u64 {
+        self.enbs
+            .iter()
+            .map(|e| {
+                // The drain thread only appends, so a poisoned buffer
+                // still holds whole lines.
+                e.lines
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .iter()
+                    .rev()
+                    .find_map(|l| l.strip_prefix("PROGRESS sessions_done="))
+                    .and_then(|n| n.parse::<u64>().ok())
+                    .unwrap_or(0)
+            })
+            .sum()
+    }
+
+    /// Block until the eNodeBs report at least `min` completed sessions
+    /// or `timeout` passes; returns the count last observed.
+    pub fn wait_sessions_done(&self, min: u64, timeout: Duration) -> u64 {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let done = self.sessions_done();
+            if done >= min || Instant::now() > deadline {
+                return done;
+            }
+            thread::sleep(Duration::from_millis(2));
+        }
     }
 
     /// Respawn worker `index` after [`WireDeployment::kill_mmp`]; the

@@ -282,12 +282,23 @@ fn mmp_process_kill_recovers_with_zero_lost_sessions() {
     };
     let bin = env!("CARGO_BIN_EXE_scale_wired");
     let mut dep = spawn_topology(bin, &cfg).expect("spawn wire topology");
+    let n = cfg.n_ues as u64;
 
-    // Let the deployment get well into the workload, then pull the rug.
-    std::thread::sleep(Duration::from_millis(800));
+    // Fault timing follows the eNodeBs' reported progress, not the wall
+    // clock, so the kill lands mid-run however fast the build is. Let a
+    // fifth of the sessions finish, then pull the rug.
+    let at_kill = dep.wait_sessions_done(n / 5, Duration::from_secs(60));
+    assert!(at_kill >= n / 5, "run stalled before the kill: {at_kill}/{n}");
     dep.kill_mmp(1).expect("SIGKILL worker 1");
-    std::thread::sleep(Duration::from_millis(500));
+    let after_kill = dep.sessions_done();
+    assert!(after_kill < n, "the run finished before the kill landed");
+    // Restart it once the survivors have carried another tenth of the
+    // run, or after 500 ms: devices whose whole holder set lived on
+    // worker 1 cannot finish until it is back, so the run may stall.
+    dep.wait_sessions_done(after_kill + n / 10, Duration::from_millis(500));
     dep.respawn_mmp(1).expect("restart worker 1");
+    let after_respawn = dep.sessions_done();
+    assert!(after_respawn < n, "the run finished before the restart");
 
     let outcome = dep.finish();
     assert!(outcome.clean_exit, "deployment did not drain cleanly");
