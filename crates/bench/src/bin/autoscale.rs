@@ -118,10 +118,9 @@ fn observe_epoch(
     series_name: &str,
     n_devices: usize,
     vms: u32,
-    reg: &Registry,
-    ctl: &mut Autoscaler,
-    prev: &mut Option<Snapshot>,
+    ctl: &mut ControlSide,
 ) -> (f64, u32) {
+    let reg = &ctl.reg;
     let sink = reg.series(series_name, "per-epoch request sojourn");
     let (counts, _) = run_epoch_sim(trace, epoch, n_devices, vms as usize, Some(sink));
     for &(class, n) in &counts {
@@ -134,7 +133,7 @@ fn observe_epoch(
     }
     let snap = Snapshot::of(reg);
     let mut obs = EpochObservation::from_snapshot_delta(
-        prev.as_ref(),
+        ctl.prev.as_ref(),
         &snap,
         trace.epoch_s,
         n_devices as u64,
@@ -142,8 +141,17 @@ fn observe_epoch(
     );
     let p99 = snap.series(series_name).map_or(0.0, |s| s.p99);
     obs.measured_p99_s = (p99 > 0.0).then_some(p99);
-    *prev = Some(snap);
-    (p99, ctl.decide(vms, &obs).target_vms)
+    ctl.prev = Some(snap);
+    (p99, ctl.autoscaler.decide(vms, &obs).target_vms)
+}
+
+/// The controller side of the closed loop: the registry observations
+/// go through, the controller, and the previous epoch's snapshot the
+/// next observation is a delta against.
+struct ControlSide {
+    reg: Registry,
+    autoscaler: Autoscaler,
+    prev: Option<Snapshot>,
 }
 
 /// The closed loop: registry-mediated observations driving the
@@ -155,22 +163,25 @@ fn closed_loop(
 ) -> DayResult {
     let shape = trace.shape.name();
     let reg = Registry::new();
-    let mut ctl = Autoscaler::new(controller_config(), calibrate_sim_demands());
-    ctl.attach_observability(&reg);
-    let mut prev: Option<Snapshot> = None;
-    let mut vms = ctl.config().min_vms;
+    let mut autoscaler = Autoscaler::new(controller_config(), calibrate_sim_demands());
+    autoscaler.attach_observability(&reg);
+    let mut vms = autoscaler.config().min_vms;
+    let mut ctl = ControlSide {
+        reg,
+        autoscaler,
+        prev: None,
+    };
     let mut violations = 0;
     let mut vm_hours = 0.0;
     for k in 0..WARMUP_EPOCHS {
         let e = trace.epochs - WARMUP_EPOCHS + k;
         let name = format!("scale_sim_autoscale_warmup{k}_delay_seconds");
-        (_, vms) = observe_epoch(trace, e, &name, n_devices, vms, &reg, &mut ctl, &mut prev);
+        (_, vms) = observe_epoch(trace, e, &name, n_devices, vms, &mut ctl);
     }
     for e in 0..trace.epochs {
         let name = format!("scale_sim_autoscale_epoch{e}_delay_seconds");
         let serving = vms;
-        let (p99, next) =
-            observe_epoch(trace, e, &name, n_devices, serving, &reg, &mut ctl, &mut prev);
+        let (p99, next) = observe_epoch(trace, e, &name, n_devices, serving, &mut ctl);
         vm_hours += f64::from(serving) * trace.epoch_s / 3600.0;
         if p99 > SLA_P99_S {
             violations += 1;
@@ -284,8 +295,11 @@ fn scaledc_trajectory(epochs: u32, rows: &mut Vec<Row>) {
     }
 }
 
+/// One trace's outcome: closed loop, static fleet, static fleet size.
+type Outcome = (TraceShape, DayResult, DayResult, u32);
+
 /// One full experiment pass; pure function of its arguments.
-fn experiment(epochs: u32, n_devices: usize) -> (Vec<Row>, Vec<(TraceShape, DayResult, DayResult, u32)>) {
+fn experiment(epochs: u32, n_devices: usize) -> (Vec<Row>, Vec<Outcome>) {
     let mut rows = Vec::new();
     let mut outcomes = Vec::new();
     for shape in TraceShape::all() {

@@ -1,24 +1,25 @@
 //! Routing hot-path benchmark summary: measures the optimized ring and
-//! MLB router against the seed implementation (kept verbatim in
-//! `scale_hashring::reference`) and writes the before/after table to
-//! `results/BENCH_routing.json`.
+//! the MLB's routing plane against the seed implementation (kept
+//! verbatim in `scale_hashring::reference`) and writes the before/after
+//! table to `results/BENCH_routing.json`.
 //!
 //! The "before" side reproduces the seed's data structures exactly: a
 //! `BTreeMap` point store, a fresh `Vec<u8>` key allocation plus a
 //! streaming MD5 context per lookup, an allocating replica walk and a
 //! `HashMap`-backed load table. The "after" side is the shipping
-//! `HashRing` / `MlbRouter` pair: sorted-`Vec` points, borrowed key
-//! bytes, one-shot MD5, memoized positions and the per-epoch route
-//! cache.
+//! `HashRing` / `RouteReader` pair: sorted-`Vec` points, borrowed key
+//! bytes, one-shot MD5, memoized positions, one snapshot load per
+//! decision and a dense load table.
 
 use criterion::{black_box, Criterion};
-use scale_core::mlb::{MlbRouter, VmId};
+use scale_core::routeplane::{RoutePlane, RouteReader, RouteSnapshot, VmId};
 use scale_hashring::{position_of, reference::BTreeRing, HashRing, PositionCache};
 use scale_nas::{Guti, Plmn};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::fs;
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Duration;
 
 const N_VMS: u32 = 30;
@@ -30,9 +31,9 @@ const REPLICATION: usize = 2;
 /// cover the population and the steady state is all-hits — exactly the
 /// "repeat lookups skip MD5" contract of the optimization.
 const N_DEVICES: u32 = 10_000;
-/// The MLB's per-epoch route cache is 1024 direct-mapped slots, so the
-/// routing bench cycles the devices currently mid Idle↔Active churn —
-/// the bounded hot working set the cache is built for.
+/// The routing bench cycles the devices currently mid Idle↔Active
+/// churn: a bounded hot working set that fits the reader's position
+/// memo.
 const HOT_DEVICES: u32 = 1024;
 
 /// The seed's MLB routing path, reassembled from the reference ring:
@@ -88,13 +89,19 @@ fn optimized_ring() -> HashRing<VmId> {
     ring
 }
 
-fn optimized_mlb() -> MlbRouter {
-    let mut mlb = MlbRouter::new(TOKENS, REPLICATION, Plmn::new("001", "01"), 1, 1);
+/// The routing plane over the same fleet and loads as [`BaselineMlb`].
+fn optimized_reader() -> RouteReader {
+    let mut snap = RouteSnapshot::new(TOKENS, REPLICATION, Plmn::new("001", "01"), 1, 1);
     for vm in 0..N_VMS {
-        mlb.add_mmp(vm);
-        mlb.set_load(vm, (vm % 7) as f64);
+        snap.ring.add_node(vm);
     }
-    mlb
+    let plane = Arc::new(RoutePlane::new(snap));
+    for vm in 0..N_VMS {
+        for _ in 0..vm % 7 {
+            plane.loads.charge(vm);
+        }
+    }
+    plane.reader()
 }
 
 #[derive(Debug, Serialize)]
@@ -173,12 +180,12 @@ fn main() {
             baseline.route_idle_transition(black_box(m_tmsi))
         })
     });
-    let mut mlb = optimized_mlb();
+    let mut reader = optimized_reader();
     let mut m_tmsi: u32 = 0;
     c.bench_function("mlb_route_idle/after", |b| {
         b.iter(|| {
             m_tmsi = (m_tmsi + 1) % HOT_DEVICES;
-            mlb.route_idle_transition(black_box(m_tmsi))
+            reader.route_idle(black_box(m_tmsi))
         })
     });
 
@@ -233,7 +240,7 @@ fn main() {
         (
             "mlb_route_idle",
             "replica Vec per route + HashMap load table",
-            "epoch route cache + memoized positions + dense loads",
+            "RouteReader: memoized positions + one snapshot load + dense loads",
         ),
         (
             "sim_poisson_sweep",

@@ -41,7 +41,7 @@ fn main() {
         let probes = 200_000u32;
         let mut acc = 0u64;
         for i in 0..probes {
-            if let Some(vm) = net.cp.mlb.route_idle_transition(i % 1000) {
+            if let Some(vm) = net.cp.route_idle(i % 1000) {
                 acc = acc.wrapping_add(vm as u64);
             }
         }

@@ -15,7 +15,7 @@
 //!   round-trips through `Snapshot::from_json`.
 
 use criterion::{black_box, Criterion};
-use scale_core::mlb::MlbRouter;
+use scale_core::routeplane::{RoutePlane, RouteReader, RouteSnapshot};
 use scale_core::{ScaleConfig, ScaleDc};
 use scale_epc::Network;
 use scale_hashring::{position_of, HashRing, PositionCache};
@@ -25,6 +25,7 @@ use serde::Serialize;
 use std::collections::HashMap;
 use std::fs;
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Duration;
 
 const N_VMS: u32 = 30;
@@ -53,13 +54,20 @@ fn optimized_ring() -> HashRing<u32> {
     ring
 }
 
-fn optimized_mlb() -> MlbRouter {
-    let mut mlb = MlbRouter::new(TOKENS, REPLICATION, Plmn::new("001", "01"), 1, 1);
+/// A reader over its own routing plane: 30 VMs, VM `v` carrying
+/// `v % 7` in-flight procedures.
+fn optimized_reader() -> RouteReader {
+    let mut snap = RouteSnapshot::new(TOKENS, REPLICATION, Plmn::new("001", "01"), 1, 1);
     for vm in 0..N_VMS {
-        mlb.add_mmp(vm);
-        mlb.set_load(vm, (vm % 7) as f64);
+        snap.ring.add_node(vm);
     }
-    mlb
+    let plane = Arc::new(RoutePlane::new(snap));
+    for vm in 0..N_VMS {
+        for _ in 0..vm % 7 {
+            plane.loads.charge(vm);
+        }
+    }
+    plane.reader()
 }
 
 #[derive(Debug, Serialize)]
@@ -112,7 +120,7 @@ fn main() {
     let mut memo_obs = PositionCache::new(2 * N_DEVICES as usize);
     for rep in 0..REPS {
         let mut key: u64 = 0;
-        c.bench_function(&format!("ring_primary/bare/{rep}"), |b| {
+        c.bench_function(format!("ring_primary/bare/{rep}"), |b| {
             b.iter(|| {
                 key = (key + 1) % N_DEVICES as u64;
                 let k = black_box(key);
@@ -121,7 +129,7 @@ fn main() {
             })
         });
         let mut key: u64 = 0;
-        c.bench_function(&format!("ring_primary/observed/{rep}"), |b| {
+        c.bench_function(format!("ring_primary/observed/{rep}"), |b| {
             b.iter(|| {
                 key = (key + 1) % N_DEVICES as u64;
                 let k = black_box(key);
@@ -134,45 +142,36 @@ fn main() {
         });
     }
 
-    // The MLB route path counts into plain-`u64` `MlbStats` fields (as
-    // shipped — present in both variants); "observed" adds the periodic
-    // `Counter::set` publication into the shared registry.
+    // The MLB route path: `RouteReader::route_idle` bare; "observed"
+    // adds what `ScaleDc` does around it — a plain-`u64` route count —
+    // and the periodic `Counter::set` publication of that count and
+    // the reader's position-memo counters into the shared registry.
     let idle_routes = registry.counter(
         "scale_mlb_idle_routes_total",
         "Idle-to-Active transitions routed by the benched MLB",
     );
-    let cache_hits = registry.counter(
-        "scale_mlb_route_cache_hits_total",
-        "Route-cache hits of the benched MLB",
-    );
-    let cache_misses = registry.counter(
-        "scale_mlb_route_cache_misses_total",
-        "Route-cache misses of the benched MLB",
-    );
-    let mut mlb_bare = optimized_mlb();
-    let mut mlb_obs = optimized_mlb();
+    let mut reader_bare = optimized_reader();
+    let mut reader_obs = optimized_reader();
+    let mut routed = 0u64;
     for rep in 0..REPS {
         let mut m_tmsi: u32 = 0;
-        c.bench_function(&format!("mlb_route_idle/bare/{rep}"), |b| {
+        c.bench_function(format!("mlb_route_idle/bare/{rep}"), |b| {
             b.iter(|| {
                 m_tmsi = (m_tmsi + 1) % HOT_DEVICES;
-                mlb_bare.route_idle_transition(black_box(m_tmsi))
+                reader_bare.route_idle(black_box(m_tmsi))
             })
         });
         let mut m_tmsi: u32 = 0;
-        c.bench_function(&format!("mlb_route_idle/observed/{rep}"), |b| {
+        c.bench_function(format!("mlb_route_idle/observed/{rep}"), |b| {
             b.iter(|| {
                 m_tmsi = (m_tmsi + 1) % HOT_DEVICES;
-                let out = mlb_obs.route_idle_transition(black_box(m_tmsi));
+                let out = reader_obs.route_idle(black_box(m_tmsi));
+                routed += 1;
                 // Publish once per hot-set wrap (every 1024 routes).
                 if m_tmsi == 0 {
-                    idle_routes.set(mlb_obs.stats.idle_routes);
-                    publish_pair(
-                        &cache_hits,
-                        mlb_obs.stats.route_cache_hits,
-                        &cache_misses,
-                        mlb_obs.stats.route_cache_misses,
-                    );
+                    idle_routes.set(routed);
+                    let (hits, misses) = reader_obs.position_cache_stats();
+                    publish_pair(&pos_hits, hits, &pos_misses, misses);
                 }
                 out
             })

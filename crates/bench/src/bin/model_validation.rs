@@ -94,20 +94,23 @@ impl ClassResult {
     }
 }
 
-/// Run one simulator configuration and fold per-class delays.
+/// Measured delays per procedure class.
+type ClassDelays = Vec<(Procedure, Samples)>;
+
+/// Run one simulator configuration (per-device request `rates`) and
+/// fold per-class delays and arrival rates.
 fn simulate(
     seed: u64,
     n_vms: usize,
     assignment: Assignment,
     holders: Vec<Vec<usize>>,
-    n_devices: usize,
-    total_rps: f64,
+    rates: &[f64],
     mix: ProcedureMix,
     duration_s: f64,
-) -> (Vec<(Procedure, Samples)>, Vec<(Procedure, f64)>) {
-    let stream = device_stream(seed, &uniform_rates(n_devices, total_rps), mix, duration_s);
+) -> (ClassDelays, Vec<(Procedure, f64)>) {
+    let stream = device_stream(seed, rates, mix, duration_s);
     let mut dc = DcSim::new(n_vms, assignment, duration_s).with_holders(holders);
-    let mut per_class: Vec<(Procedure, Samples)> = Vec::new();
+    let mut per_class: ClassDelays = Vec::new();
     for r in &stream {
         let delay = dc.submit(*r);
         match per_class.iter_mut().find(|(p, _)| *p == r.procedure) {
@@ -131,7 +134,7 @@ fn simulate(
 fn compare(
     demands: &ServiceDemands,
     n_vms: u32,
-    mut per_class: Vec<(Procedure, Samples)>,
+    mut per_class: ClassDelays,
     rates: &[(Procedure, f64)],
 ) -> Vec<ClassResult> {
     let classes: Vec<ClassLoad> = rates
@@ -183,8 +186,7 @@ fn single_vm(demands: &ServiceDemands, rows: &mut Vec<Row>) {
             1,
             Assignment::Pinned,
             placement::pinned(200, 1),
-            200,
-            rps,
+            &uniform_rates(200, rps),
             ProcedureMix::only(procedure),
             duration,
         );
@@ -238,8 +240,7 @@ fn fleet(demands: &ServiceDemands, rows: &mut Vec<Row>) {
             N_VMS,
             assignment,
             holders,
-            N_DEV,
-            rps,
+            &uniform_rates(N_DEV, rps),
             mix,
             duration,
         );

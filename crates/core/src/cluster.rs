@@ -3,18 +3,22 @@
 //! `scale-epc` harness as a [`ControlPlane`].
 //!
 //! Responsibilities:
-//! * route every S1AP/S11/S6a message to an MMP (MLB logic, §4.6);
+//! * route every S1AP/S11/S6a message to an MMP (MLB logic, §4.6)
+//!   through the shared [`RoutePlane`], with the MLB's own failure
+//!   detector ([`HealthTracker`]) and load signal (a per-VM EWMA of
+//!   handled messages);
 //! * replicate device state to its ring holders on each Active→Idle
 //!   transition (§4.3.2);
 //! * run epochs: access-frequency profiling, access-aware allocation
 //!   (§4.5.1), Eq-1 provisioning, elastic scale-out/in with consistent-
 //!   hash state transfer (§4.4).
 
-use crate::mlb::{MlbRouter, VmId};
+use crate::failover::{FailoverStats, HealthConfig, HealthTracker};
 use crate::obs::{DcObserver, ProcClass};
 use crate::provision::{provision, AllocationPolicy, LoadEstimator, Provisioning, VmCapacity};
+use crate::routeplane::{RoutePlane, RouteReader, RouteSnapshot, VmId, MAX_R, MAX_VMS};
 use scale_epc::ControlPlane;
-use scale_mme::{EcmState, Incoming, MmeConfig, MmeCore, MmeError, Outgoing};
+use scale_mme::{vm_of_id, Incoming, MmeConfig, MmeCore, MmeError, Outgoing};
 use scale_nas::{EmmMessage, Guti, MobileId, Plmn};
 use scale_obs::{Registry, Span};
 use scale_s1ap::S1apPdu;
@@ -33,7 +37,7 @@ pub struct ScaleConfig {
     /// Tokens per MMP VM on the hash ring (1 = the token-less baseline
     /// of Fig 10a).
     pub tokens: u32,
-    /// Replication factor R (2 in SCALE).
+    /// Replication factor R (2 in SCALE; at most [`MAX_R`]).
     pub replication: usize,
     /// Per-VM capacity for provisioning (Eq 1).
     pub capacity: VmCapacity,
@@ -87,6 +91,33 @@ pub struct DcStats {
     pub crashes: u64,
 }
 
+/// MLB routing counters. Plain `u64`s, not atomics: they are bumped on
+/// the routing path and published into the shared `scale_obs::Registry`
+/// off-path (see [`ScaleDc::publish_metrics`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MlbStats {
+    /// Attach requests routed for unregistered devices.
+    pub new_attaches: u64,
+    /// Idle→Active transitions routed by ring lookup.
+    pub idle_routes: u64,
+    /// Active-mode messages routed by embedded VM id.
+    pub active_routes: u64,
+}
+
+/// EWMA smoothing of the per-VM load signal.
+const LOAD_ALPHA: f64 = 0.3;
+
+/// Per-VM load the MLB balances Idle→Active requests on: an EWMA of
+/// the messages handled per load window (the "moving average of CPU
+/// utilization" of §4.6).
+#[derive(Debug, Clone, Copy, Default)]
+struct VmLoad {
+    /// Smoothed load (EWMA of per-window message counts).
+    ewma: f64,
+    /// Messages handled in the current window.
+    window_count: u64,
+}
+
 /// Outcome of one ring-repair pass after MMP crashes (§4.6).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RepairReport {
@@ -123,8 +154,21 @@ pub struct EpochReport {
 pub struct ScaleDc {
     /// The configuration the DC was built with.
     pub config: ScaleConfig,
-    /// The MLB front-end.
-    pub mlb: MlbRouter,
+    /// The MLB's ring and liveness (the snapshot's down bitmap is the
+    /// one routing truth), shared with every other plane's code.
+    plane: Arc<RoutePlane>,
+    reader: RouteReader,
+    /// Failure detector: error streaks per VM. It decides *when* a VM
+    /// goes down; the transition is then published to `plane`.
+    health: HealthTracker,
+    /// M-TMSI of the next fresh attach.
+    next_m_tmsi: u32,
+    /// Dense per-VM load table indexed by `VmId`.
+    loads: Vec<VmLoad>,
+    /// MLB routing counters.
+    pub mlb_stats: MlbStats,
+    /// Failure-detection and failover counters.
+    pub failover_stats: FailoverStats,
     mmps: BTreeMap<VmId, MmeCore>,
     /// Devices restricted to a single (master) copy this epoch.
     single_copy: BTreeSet<u32>,
@@ -142,14 +186,26 @@ pub struct ScaleDc {
 impl ScaleDc {
     /// DC with `config.initial_vms` MMPs on the ring.
     pub fn new(config: ScaleConfig) -> Self {
+        assert!(
+            config.replication <= MAX_R,
+            "replication {} exceeds MAX_R = {MAX_R}",
+            config.replication
+        );
+        let plane = Arc::new(RoutePlane::new(RouteSnapshot::new(
+            config.tokens,
+            config.replication,
+            config.plmn,
+            config.mme_group_id,
+            config.mme_code,
+        )));
         let mut dc = ScaleDc {
-            mlb: MlbRouter::new(
-                config.tokens,
-                config.replication,
-                config.plmn,
-                config.mme_group_id,
-                config.mme_code,
-            ),
+            reader: plane.reader(),
+            plane,
+            health: HealthTracker::new(HealthConfig::default()),
+            next_m_tmsi: 1,
+            loads: vec![VmLoad::default(); MAX_VMS],
+            mlb_stats: MlbStats::default(),
+            failover_stats: FailoverStats::default(),
             mmps: BTreeMap::new(),
             single_copy: BTreeSet::new(),
             crashed: BTreeSet::new(),
@@ -198,6 +254,16 @@ impl ScaleDc {
     /// `None` when the 8-bit VM id space is exhausted (255 live VMs).
     pub fn add_mmp(&mut self) -> Option<VmId> {
         let vm = (1..=255u32).find(|id| !self.mmps.contains_key(id))?;
+        self.join(vm);
+        #[cfg(feature = "verify")]
+        self.check_invariants();
+        Some(vm)
+    }
+
+    /// Start a fresh engine for `vm` and put the VM on the ring. Its
+    /// load and health slots start clean even if the 8-bit id is being
+    /// reused.
+    fn join(&mut self, vm: VmId) {
         let engine = MmeCore::new(MmeConfig {
             plmn: self.config.plmn,
             mme_group_id: self.config.mme_group_id,
@@ -207,10 +273,18 @@ impl ScaleDc {
             ..MmeConfig::default()
         });
         self.mmps.insert(vm, engine);
-        self.mlb.add_mmp(vm);
-        #[cfg(feature = "verify")]
-        self.check_invariants();
-        Some(vm)
+        self.plane.add_vm(vm);
+        self.loads[vm as usize] = VmLoad::default();
+        self.health.forget(vm);
+    }
+
+    /// Take `vm` off the ring. Its load and health slots are reset here
+    /// — not lazily on re-add — so a departed VM can never linger with
+    /// stale counts that skew least-loaded routing.
+    fn retire(&mut self, vm: VmId) {
+        self.plane.remove_vm(vm);
+        self.loads[vm as usize] = VmLoad::default();
+        self.health.forget(vm);
     }
 
     /// Decommission an MMP VM, first transferring every state it holds
@@ -219,7 +293,7 @@ impl ScaleDc {
         if !self.mmps.contains_key(&vm) || self.mmps.len() == 1 {
             return false;
         }
-        self.mlb.remove_mmp(vm);
+        self.retire(vm);
         // With the VM off the ring, re-home everything it held.
         let gutis: Vec<Guti> = self
             .mmps
@@ -264,18 +338,17 @@ impl ScaleDc {
     pub fn repair(&mut self) -> RepairReport {
         let mut report = RepairReport::default();
         for vm in std::mem::take(&mut self.crashed) {
-            self.mlb.mark_down(vm);
-            self.mlb.remove_mmp(vm);
+            let newly_down = self.health.mark_down(vm);
+            self.detected(vm, newly_down);
+            self.retire(vm);
             report.vms_repaired += 1;
         }
         let before = self.stats.replications;
         let ids: Vec<u32> = self.device_weights().keys().copied().collect();
         for m_tmsi in ids {
-            let guti = self.mlb.guti(m_tmsi);
-            let mut desired = self.mlb.holders(m_tmsi);
-            if self.single_copy.contains(&m_tmsi) {
-                desired.truncate(1);
-            }
+            let guti = self.guti(m_tmsi);
+            let (holders, n) = self.desired_holders(m_tmsi);
+            let desired = &holders[..n];
             // Diff the post-removal ring against reality: only devices
             // whose copy set differs from their desired holder set get
             // re-replication traffic scheduled.
@@ -324,25 +397,19 @@ impl ScaleDc {
         if self.crashed.contains(&vm) {
             self.repair();
         }
-        let engine = MmeCore::new(MmeConfig {
-            plmn: self.config.plmn,
-            mme_group_id: self.config.mme_group_id,
-            mme_code: self.config.mme_code,
-            mme_name: format!("mmp-{vm}"),
-            vm_id: vm as u8,
-            ..MmeConfig::default()
-        });
-        self.mmps.insert(vm, engine);
-        self.mlb.add_mmp(vm);
+        self.join(vm);
         // Warming: down (unroutable) while replicas are pulled onto the
-        // arcs the rejoined VM now owns.
-        self.mlb.health.mark_down(vm);
+        // arcs the rejoined VM now owns. A deliberate mark, not a
+        // detection: `vms_marked_down` does not count it.
+        self.health.mark_down(vm);
+        self.plane.mark_down(vm);
         let ids: Vec<u32> = self.device_weights().keys().copied().collect();
         for m_tmsi in ids {
-            let guti = self.mlb.guti(m_tmsi);
+            let guti = self.guti(m_tmsi);
             self.sync_holders(guti, None);
         }
-        self.mlb.mark_up(vm);
+        self.health.mark_up(vm);
+        self.plane.mark_up(vm);
         #[cfg(feature = "verify")]
         {
             self.check_invariants();
@@ -352,15 +419,31 @@ impl ScaleDc {
     }
 
     /// Audit DC-wide structural coherence, panicking on violation:
-    /// the MLB's own invariants, plus ring membership == live engines
-    /// ∪ crashed-but-unrepaired VMs (a VM on the ring with no engine
-    /// and no pending crash would blackhole every key it owns).
-    /// Called after every membership mutation under `verify`.
+    /// the ring's own invariants; every load slot is finite and
+    /// non-negative (a NaN EWMA would silently win or lose every
+    /// least-loaded comparison); the detector's down flags equal the
+    /// snapshot's down bitmap; and ring membership == live engines ∪
+    /// crashed-but-unrepaired VMs (a VM on the ring with no engine and
+    /// no pending crash would blackhole every key it owns). Called
+    /// after every membership mutation under `verify`.
     // lint: allow(alloc): verify-feature audit, never on the message path
     #[cfg(feature = "verify")]
     pub fn check_invariants(&self) {
-        self.mlb.check_invariants();
-        let on_ring: BTreeSet<VmId> = self.mlb.mmps().iter().copied().collect();
+        let snap = self.plane.snapshot();
+        snap.ring.check_invariants();
+        for (vm, load) in self.loads.iter().enumerate() {
+            assert!(
+                load.ewma.is_finite() && load.ewma >= 0.0,
+                "VM {vm} has corrupt EWMA load {}",
+                load.ewma
+            );
+            assert_eq!(
+                self.health.is_down(vm as VmId),
+                snap.is_down(vm as VmId),
+                "VM {vm}: detector and routing snapshot disagree on liveness"
+            );
+        }
+        let on_ring: BTreeSet<VmId> = snap.ring.nodes().iter().copied().collect();
         let mut expected: BTreeSet<VmId> = self.mmps.keys().copied().collect();
         for vm in &self.crashed {
             assert!(
@@ -389,12 +472,14 @@ impl ScaleDc {
         if !self.crashed.is_empty() {
             return;
         }
+        let snap = self.plane.snapshot();
         for &m_tmsi in self.device_weights().keys() {
-            let guti = self.mlb.guti(m_tmsi);
-            let mut desired = self.mlb.holders(m_tmsi);
+            let guti = self.guti(m_tmsi);
+            let (holders, mut n) = snap.holders_of(m_tmsi);
             if self.single_copy.contains(&m_tmsi) {
-                desired.truncate(1);
+                n = n.min(1);
             }
+            let desired = &holders[..n];
             let want = if self.single_copy.contains(&m_tmsi) {
                 1
             } else {
@@ -406,7 +491,7 @@ impl ScaleDc {
                 "device {m_tmsi}: ring offers {} holders, want {want}",
                 desired.len()
             );
-            for vm in &desired {
+            for vm in desired {
                 assert!(
                     self.mmps
                         .get(vm)
@@ -424,14 +509,68 @@ impl ScaleDc {
         }
     }
 
+    /// Compose the pool GUTI for an M-TMSI.
+    fn guti(&self, m_tmsi: u32) -> Guti {
+        Guti {
+            plmn: self.config.plmn,
+            mme_group_id: self.config.mme_group_id,
+            mme_code: self.config.mme_code,
+            m_tmsi,
+        }
+    }
+
+    /// The holders `m_tmsi`'s state should live on: its ring holders
+    /// (master first), or only the master for a single-copy device.
+    fn desired_holders(&mut self, m_tmsi: u32) -> ([VmId; MAX_R], usize) {
+        let (holders, n) = self.reader.holders(m_tmsi);
+        if self.single_copy.contains(&m_tmsi) {
+            (holders, n.min(1))
+        } else {
+            (holders, n)
+        }
+    }
+
+    /// Master VM of an M-TMSI (its first ring holder).
+    fn master(&mut self, m_tmsi: u32) -> Option<VmId> {
+        let (holders, n) = self.reader.holders(m_tmsi);
+        holders[..n].first().copied()
+    }
+
+    /// Is the VM marked down in the current routing snapshot?
+    pub fn is_down(&self, vm: VmId) -> bool {
+        self.plane.snapshot().is_down(vm)
+    }
+
+    /// Act on a detector verdict about `vm` (from `HealthTracker::
+    /// mark_down` or `record_error`): a VM *newly* down is counted and
+    /// published, so the epoch counts real liveness flips only.
+    fn detected(&mut self, vm: VmId, newly_down: bool) {
+        if newly_down {
+            self.failover_stats.vms_marked_down += 1;
+            self.plane.mark_down(vm);
+        }
+    }
+
+    /// Record one message handled by `vm` in the current load window.
+    fn record_handled(&mut self, vm: VmId) {
+        if let Some(load) = self.loads.get_mut(vm as usize) {
+            load.window_count += 1;
+        }
+    }
+
+    /// Close a load window: fold counts into the EWMA and reset.
+    fn close_load_window(&mut self) {
+        for load in &mut self.loads {
+            load.ewma = LOAD_ALPHA * load.window_count as f64 + (1.0 - LOAD_ALPHA) * load.ewma;
+            load.window_count = 0;
+        }
+    }
+
     /// Ensure `guti`'s state lives on exactly its desired holders.
     /// `source` (if given) is a VM known to hold a fresh copy.
     fn sync_holders(&mut self, guti: Guti, source: Option<VmId>) {
-        let m_tmsi = guti.m_tmsi;
-        let mut desired = self.mlb.holders(m_tmsi);
-        if self.single_copy.contains(&m_tmsi) {
-            desired.truncate(1);
-        }
+        let (holders, n) = self.desired_holders(guti.m_tmsi);
+        let desired = &holders[..n];
         // Find a current holder to export from.
         let from = source
             .filter(|v| self.mmps.get(v).map(|m| m.context(&guti).is_some()) == Some(true))
@@ -462,8 +601,8 @@ impl ScaleDc {
                         // Replication costs service capacity on both
                         // ends — repair traffic competes with the
                         // foreground load the MLB balances on.
-                        self.mlb.record_handled(from);
-                        self.mlb.record_handled(vm);
+                        self.record_handled(from);
+                        self.record_handled(vm);
                     }
                 } else {
                     // `from` already holds the fresh copy.
@@ -487,37 +626,57 @@ impl ScaleDc {
         out
     }
 
+    /// Route an Idle→Active request for `m_tmsi`: the least-loaded
+    /// *live* replica holder by the EWMA load signal (§4.6), through
+    /// [`RouteReader::route_idle_by`]. Skipping a down holder is the
+    /// replica failover of §4.6, counted in
+    /// [`FailoverStats::failovers`]. All holders down → `None` (the
+    /// request will be retried or counted lost upstream).
+    pub fn route_idle(&mut self, m_tmsi: u32) -> Option<VmId> {
+        self.mlb_stats.idle_routes += 1;
+        let loads = &self.loads;
+        let chosen = self.reader.route_idle_by(m_tmsi, |vm| loads[vm as usize].ewma);
+        if chosen.is_some() {
+            let (holders, n) = self.reader.holders(m_tmsi);
+            let snap = self.reader.snapshot();
+            if holders[..n].iter().any(|&vm| snap.is_down(vm)) {
+                self.failover_stats.failovers += 1;
+            }
+        }
+        chosen
+    }
+
     /// Pick the VM to process an Idle-mode request for `m_tmsi`: the
     /// least-loaded replica holder that actually has the state, falling
     /// back to the master (counting a forward, §4.6 case 2).
     fn route_with_state(&mut self, m_tmsi: u32) -> Option<VmId> {
-        let guti = self.mlb.guti(m_tmsi);
-        let has = |dc: &Self, vm: VmId| {
-            dc.mmps
-                .get(&vm)
-                .map(|m| m.context(&guti).is_some())
-                .unwrap_or(false)
+        let guti = self.guti(m_tmsi);
+        let has = |mmps: &BTreeMap<VmId, MmeCore>, vm: VmId| {
+            mmps.get(&vm).is_some_and(|m| m.context(&guti).is_some())
         };
-        // `route_idle_transition` already skips holders marked down;
-        // `None` means every holder is down, not that the state is gone.
-        if let Some(chosen) = self.mlb.route_idle_transition(m_tmsi) {
-            if has(self, chosen) {
+        // `route_idle` already skips holders marked down; `None` means
+        // every holder is down, not that the state is gone.
+        if let Some(chosen) = self.route_idle(m_tmsi) {
+            if has(&self.mmps, chosen) {
                 return Some(chosen);
             }
             // Forward along the holder list.
-            for vm in self.mlb.holders(m_tmsi) {
-                if !self.mlb.is_down(vm) && has(self, vm) {
-                    self.stats.forwards += 1;
-                    return Some(vm);
-                }
+            let (holders, n) = self.reader.holders(m_tmsi);
+            let snap = self.reader.snapshot();
+            if let Some(&vm) = holders[..n]
+                .iter()
+                .find(|&&vm| !snap.is_down(vm) && has(&self.mmps, vm))
+            {
+                self.stats.forwards += 1;
+                return Some(vm);
             }
         }
         self.stats.forwards += 1;
         // Last resort: anywhere a live VM still has the state.
-        let mlb = &self.mlb;
+        let snap = self.reader.snapshot();
         self.mmps
             .iter()
-            .find(|(v, m)| !mlb.is_down(**v) && m.context(&guti).is_some())
+            .find(|(v, m)| !snap.is_down(**v) && m.context(&guti).is_some())
             .map(|(v, _)| *v)
     }
 
@@ -546,11 +705,17 @@ impl ScaleDc {
                             id: MobileId::Imsi(_),
                             ..
                         } => {
-                            let (m_tmsi, master) = self
-                                .mlb
-                                .assign_guti()
+                            // A fresh GUTI, processed at the first live
+                            // holder so the state's first copy lives
+                            // where the ring says it should.
+                            let m_tmsi = self.next_m_tmsi;
+                            self.next_m_tmsi += 1;
+                            self.mlb_stats.new_attaches += 1;
+                            let vm = self
+                                .reader
+                                .route_new_attach(m_tmsi)
                                 .ok_or(MmeError::BadState("no MMPs".into()))?;
-                            Ok((master, Some(m_tmsi)))
+                            Ok((vm, Some(m_tmsi)))
                         }
                         EmmMessage::AttachRequest {
                             id: MobileId::Guti(g),
@@ -561,7 +726,7 @@ impl ScaleDc {
                             // rejects it (UE falls back to IMSI attach).
                             Ok((
                                 self.route_with_state(g.m_tmsi)
-                                    .or_else(|| self.mlb.master(g.m_tmsi))
+                                    .or_else(|| self.master(g.m_tmsi))
                                     .ok_or(MmeError::BadState("no MMPs".into()))?,
                                 None,
                             ))
@@ -619,7 +784,7 @@ impl ScaleDc {
                 }
                 // Active-mode PDUs carry the serving MMP in the id.
                 other => match other.mme_ue_id() {
-                    Some(id) => Ok((self.mlb.route_active(id), None)),
+                    Some(id) => Ok((self.route_active(id), None)),
                     None => Err(MmeError::BadState(format!(
                         "S1AP PDU without routing id: {other:?}"
                     ))),
@@ -630,13 +795,19 @@ impl ScaleDc {
                 // (DDN) by the TEID's VM byte.
                 use scale_gtpc::Body;
                 let vm = match msg.body {
-                    Body::DownlinkDataNotification { .. } => self.mlb.route_active(msg.teid),
+                    Body::DownlinkDataNotification { .. } => self.route_active(msg.teid),
                     _ => ((msg.sequence >> 16) & 0xff) as VmId,
                 };
                 Ok((vm, None))
             }
             Incoming::S6a(msg) => Ok((((msg.hop_by_hop >> 24) & 0xff) as VmId, None)),
         }
+    }
+
+    /// Route an Active-mode message by its embedded VM id.
+    fn route_active(&mut self, composed_id: u32) -> VmId {
+        self.mlb_stats.active_routes += 1;
+        VmId::from(vm_of_id(composed_id))
     }
 
     /// Find a live replica able to serve an Active-mode event whose
@@ -647,7 +818,8 @@ impl ScaleDc {
     /// replica refresh resolves nowhere and the request is lost (the
     /// UE recovers by re-attaching).
     fn promotion_target(&self, ev: &Incoming) -> Option<VmId> {
-        let live = |vm: &VmId| !self.mlb.is_down(*vm);
+        let snap = self.plane.snapshot();
+        let live = |vm: &VmId| !snap.is_down(*vm);
         match ev {
             Incoming::S1ap { pdu, .. } => {
                 let id = pdu.mme_ue_id()?;
@@ -714,18 +886,19 @@ impl ScaleDc {
         // error counters — that is how the MLB *notices* the crash —
         // then promote a surviving replica that indexes the same
         // device, or count the request lost.
-        let vm = if self.mmps.contains_key(&vm) && !self.mlb.is_down(vm) {
+        let vm = if self.mmps.contains_key(&vm) && !self.reader.snapshot().is_down(vm) {
             vm
         } else {
-            self.mlb.record_error(vm);
+            let newly_down = self.health.record_error(vm);
+            self.detected(vm, newly_down);
             match self.promotion_target(&ev) {
                 Some(alt) => {
-                    self.mlb.failover_stats.failovers += 1;
-                    self.mlb.failover_stats.promotions += 1;
+                    self.failover_stats.failovers += 1;
+                    self.failover_stats.promotions += 1;
                     alt
                 }
                 None => {
-                    self.mlb.failover_stats.lost += 1;
+                    self.failover_stats.lost += 1;
                     return Err(MmeError::UnknownUe("no replica to promote for crashed MMP"));
                 }
             }
@@ -738,8 +911,8 @@ impl ScaleDc {
             engine.set_guti_hint(m_tmsi);
         }
         let outs = engine.handle(ev)?;
-        self.mlb.record_handled(vm);
-        self.mlb.record_ok(vm);
+        self.record_handled(vm);
+        self.health.record_ok(vm);
 
         // Post-process lifecycle events for replication bookkeeping.
         let mut result = Vec::with_capacity(outs.len());
@@ -854,12 +1027,12 @@ impl ScaleDc {
         // Re-home every device to its (possibly new) holders.
         let ids: Vec<u32> = self.device_weights().keys().copied().collect();
         for m_tmsi in ids {
-            let guti = self.mlb.guti(m_tmsi);
+            let guti = self.guti(m_tmsi);
             self.sync_holders(guti, None);
         }
         let transferred = self.stats.replications - transfers_before;
         self.stats.transfers += transferred;
-        self.mlb.close_load_window();
+        self.close_load_window();
         self.publish_metrics();
         #[cfg(feature = "verify")]
         {
@@ -900,8 +1073,8 @@ impl ScaleDc {
         self.obs.as_ref()
     }
 
-    /// Copy the cluster's internal counters (`DcStats`, `MlbStats`,
-    /// `FailoverStats`, summed MMP engine stats, per-VM load gauges)
+    /// Copy the cluster's internal counters ([`DcStats`], [`MlbStats`],
+    /// [`FailoverStats`], summed MMP engine stats, per-VM load gauges)
     /// into the attached registry. No-op without observability.
     pub fn publish_metrics(&self) {
         let Some(obs) = &self.obs else { return };
@@ -913,24 +1086,20 @@ impl ScaleDc {
         obs.epochs.set(self.stats.epochs);
         obs.crashes.set(self.stats.crashes);
 
-        let mlb = &self.mlb.stats;
+        let mlb = &self.mlb_stats;
         obs.new_attaches.set(mlb.new_attaches);
         obs.idle_routes.set(mlb.idle_routes);
         obs.active_routes.set(mlb.active_routes);
-        obs.lookups.set(mlb.lookups);
-        obs.route_cache_hits.set(mlb.route_cache_hits);
-        obs.route_cache_misses.set(mlb.route_cache_misses);
-        let (pos_hits, pos_misses) = self.mlb.position_cache_stats();
+        let (pos_hits, pos_misses) = self.reader.position_cache_stats();
         obs.position_hits.set(pos_hits);
         obs.position_misses.set(pos_misses);
-        obs.epoch_bumps.set(self.mlb.epoch() - 1);
+        let snap = self.plane.snapshot();
+        obs.epoch_bumps.set(snap.epoch - 1);
 
-        let fo = &self.mlb.failover_stats;
+        let fo = &self.failover_stats;
         obs.failovers.set(fo.failovers);
         obs.promotions.set(fo.promotions);
-        obs.retries.set(fo.retries);
         obs.lost.set(fo.lost);
-        obs.shed.set(fo.shed);
         obs.vms_marked_down.set(fo.vms_marked_down);
 
         let mut attaches = 0u64;
@@ -954,22 +1123,9 @@ impl ScaleDc {
         obs.detaches.set(detaches);
         obs.rejects.set(rejects);
 
-        for &vm in self.mlb.mmps() {
-            obs.vm_load_gauge(vm).set(self.mlb.load_of(vm));
+        for &vm in snap.ring.nodes() {
+            obs.vm_load_gauge(vm).set(self.loads[vm as usize].ewma);
         }
-    }
-
-    /// Count of Idle devices (sanity metric for tests).
-    pub fn idle_devices(&self) -> usize {
-        self.device_weights()
-            .keys()
-            .filter(|m| {
-                let guti = self.mlb.guti(**m);
-                self.mmps
-                    .values()
-                    .any(|e| e.context(&guti).map(|c| c.ecm == EcmState::Idle) == Some(true))
-            })
-            .count()
     }
 }
 
@@ -1080,7 +1236,7 @@ mod tests {
         // Re-home after the manual addition.
         let ids: Vec<u32> = net.cp.device_weights().keys().copied().collect();
         for m in ids {
-            let guti = net.cp.mlb.guti(m);
+            let guti = net.cp.guti(m);
             net.cp.sync_holders(guti, None);
         }
         assert_eq!(net.cp.vm_count(), before + 1);
@@ -1157,7 +1313,7 @@ mod tests {
 
     /// Copies of each attached device's state across live VMs.
     fn copies_of(net: &Network<ScaleDc>, m_tmsi: u32) -> usize {
-        let guti = net.cp.mlb.guti(m_tmsi);
+        let guti = net.cp.guti(m_tmsi);
         net.cp
             .vm_ids()
             .iter()
@@ -1223,13 +1379,13 @@ mod tests {
         // Find a UE whose attach master still exists and has a peer
         // holding the replica, then crash the master.
         let m_tmsi = net.ues[0].guti.unwrap().m_tmsi;
-        let master = net.cp.mlb.master(m_tmsi).unwrap();
+        let master = net.cp.master(m_tmsi).unwrap();
         assert!(net.cp.crash_mmp(master));
-        let promoted_before = net.cp.mlb.failover_stats.promotions;
+        let promoted_before = net.cp.failover_stats.promotions;
         assert!(net.downlink_data(0), "{:?}", net.errors);
         assert!(
-            net.cp.mlb.failover_stats.promotions > promoted_before
-                || net.cp.mlb.master(m_tmsi) != Some(master),
+            net.cp.failover_stats.promotions > promoted_before
+                || net.cp.master(m_tmsi) != Some(master),
             "DDN to the crashed master must promote a replica"
         );
     }
@@ -1248,7 +1404,7 @@ mod tests {
         // it back on its old arcs; the warm-up pull must hand it the
         // replicas those arcs own before it serves traffic.
         assert!(net.cp.restart_mmp(victim));
-        assert!(!net.cp.mlb.is_down(victim), "marked routable after warm-up");
+        assert!(!net.cp.is_down(victim), "marked routable after warm-up");
         assert!(
             net.cp.states_on(victim) > 0,
             "rejoined VM warmed by replica pull"
@@ -1297,7 +1453,7 @@ mod tests {
         );
         assert_eq!(
             reg.counter("scale_mlb_new_attaches_total", "").get(),
-            net.cp.mlb.stats.new_attaches
+            net.cp.mlb_stats.new_attaches
         );
         assert_eq!(
             reg.counter("scale_dc_replications_total", "").get(),
@@ -1305,8 +1461,8 @@ mod tests {
         );
         assert!(reg.counter("scale_dc_replication_bytes_total", "").get() > 0);
         assert!(
-            reg.counter("scale_mlb_route_cache_hits_total", "").get() > 0,
-            "warm service requests must hit the route cache"
+            reg.counter("scale_mlb_position_cache_hits_total", "").get() > 0,
+            "warm service requests must hit the position memo"
         );
         // The snapshot export sees every published metric.
         let snap = Snapshot::of(&reg);
@@ -1346,6 +1502,95 @@ mod tests {
             registry.counter("scale_dc_repair_copies_total", "").get(),
             report.copies_restored
         );
+    }
+
+    fn dc(vms: u32) -> ScaleDc {
+        ScaleDc::new(ScaleConfig {
+            initial_vms: vms,
+            ..Default::default()
+        })
+    }
+
+    #[test]
+    fn removing_a_vm_resets_its_load_and_health() {
+        let mut dc = dc(3);
+        for _ in 0..50 {
+            dc.record_handled(2);
+        }
+        dc.close_load_window();
+        for _ in 0..50 {
+            dc.record_handled(2); // an open window count
+        }
+        assert!(!dc.health.record_error(2), "a sub-threshold error streak");
+        assert!(dc.loads[2].ewma > 0.0);
+        assert!(dc.remove_mmp(2));
+        assert_eq!(dc.loads[2].ewma, 0.0, "EWMA must reset on removal");
+        // Closing a window right after removal must not resurrect the
+        // open count into the EWMA.
+        dc.close_load_window();
+        assert_eq!(dc.loads[2].ewma, 0.0, "window count leaked through removal");
+        assert_eq!(dc.health.health(2).consecutive_errors, 0);
+        assert!(!dc.is_down(2));
+        // Re-adding the id starts from scratch.
+        assert_eq!(dc.add_mmp(), Some(2));
+        assert_eq!(dc.loads[2].ewma, 0.0);
+        assert_eq!(dc.health.health(2).consecutive_errors, 0);
+    }
+
+    #[test]
+    fn consecutive_errors_mark_a_vm_down_once() {
+        let mut net = scale_net(3, 0);
+        let epoch = net.cp.plane.snapshot().epoch;
+        // Active-mode PDUs for an unknown VM are routing errors.
+        let pdu = |n| Incoming::S1ap {
+            enb_id: 1,
+            pdu: S1apPdu::UplinkNasTransport {
+                mme_ue_id: scale_mme::compose_id(9, n),
+                enb_ue_id: n,
+                nas_pdu: bytes::Bytes::new(),
+                tai: scale_nas::Tai::new(Plmn::test(), 1),
+            },
+        };
+        assert!(net.cp.handle(pdu(1)).is_err());
+        assert!(!net.cp.is_down(9), "below threshold");
+        assert_eq!(net.cp.plane.snapshot().epoch, epoch, "no transition, no publish");
+        assert!(net.cp.handle(pdu(2)).is_err());
+        assert!(net.cp.is_down(9), "threshold crossed");
+        assert_eq!(net.cp.failover_stats.vms_marked_down, 1);
+        assert_eq!(net.cp.plane.snapshot().epoch, epoch + 1);
+        assert!(net.cp.handle(pdu(3)).is_err());
+        assert_eq!(net.cp.failover_stats.vms_marked_down, 1, "already down");
+        assert_eq!(net.cp.plane.snapshot().epoch, epoch + 1);
+    }
+
+    #[test]
+    fn down_holders_are_skipped_for_idle_and_attach_routing() {
+        let mut dc = dc(5);
+        let m_tmsi = 42;
+        let (holders, n) = dc.reader.holders(m_tmsi);
+        assert_eq!(n, 2);
+        // Equal loads: the tie keeps the last holder.
+        assert_eq!(dc.route_idle(m_tmsi), Some(holders[1]));
+        // Load the last holder: the first becomes the least loaded.
+        for _ in 0..10 {
+            dc.record_handled(holders[1]);
+        }
+        dc.close_load_window();
+        assert_eq!(dc.route_idle(m_tmsi), Some(holders[0]));
+        assert_eq!(dc.reader.route_new_attach(m_tmsi), Some(holders[0]));
+        assert_eq!(dc.failover_stats.failovers, 0);
+        // Kill the master: both kinds of routing fail over.
+        let newly_down = dc.health.mark_down(holders[0]);
+        dc.detected(holders[0], newly_down);
+        assert_eq!(dc.route_idle(m_tmsi), Some(holders[1]));
+        assert_eq!(dc.failover_stats.failovers, 1);
+        assert_eq!(dc.reader.route_new_attach(m_tmsi), Some(holders[1]));
+        // Every holder down: nowhere to go, and no failover counted.
+        let newly_down = dc.health.mark_down(holders[1]);
+        dc.detected(holders[1], newly_down);
+        assert_eq!(dc.route_idle(m_tmsi), None);
+        assert_eq!(dc.reader.route_new_attach(m_tmsi), None);
+        assert_eq!(dc.failover_stats.failovers, 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * [`TokenBucket`] — the admission limiter used to shed low-priority
 //!   requests (paging responses before attaches) when every replica
 //!   holder of a device is saturated.
-//! * [`FailoverStats`] — the counters the chaos experiments report.
+//! * [`FailoverStats`] — the counters of the cluster's failover path.
 //!
 //! Everything here is deterministic: jitter comes from a splitmix64
 //! hash of the (request, attempt) pair, never from a global RNG, so two
@@ -221,9 +221,9 @@ impl BackoffPolicy {
     }
 }
 
-/// Token bucket used by the MLB's admission control: low-priority
-/// requests pass only while tokens remain, so shedding kicks in
-/// smoothly under overload instead of collapsing throughput.
+/// Token bucket for admission control (the chaos simulator's MLB):
+/// low-priority requests pass only while tokens remain, so shedding
+/// kicks in smoothly under overload instead of collapsing throughput.
 #[derive(Debug, Clone, Copy)]
 pub struct TokenBucket {
     /// Tokens added per second.
@@ -294,33 +294,18 @@ impl Default for ShedPolicy {
     }
 }
 
-/// Counters the failure experiments report.
+/// Counters of the in-process cluster's failover path.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FailoverStats {
-    /// Requests that exhausted retries / deadline and were dropped.
+    /// Requests lost because no replica could be promoted.
     pub lost: u64,
-    /// Retry attempts issued.
-    pub retries: u64,
     /// Requests re-routed from a down VM to a surviving replica.
     pub failovers: u64,
     /// Replica copies promoted to serving (explicit state-promotion
     /// events on Active-mode failover).
     pub promotions: u64,
-    /// Low-priority requests shed by admission control.
-    pub shed: u64,
     /// VMs marked down by detection.
     pub vms_marked_down: u64,
-}
-
-/// Full failover configuration carried by the MLB / cluster.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FailoverConfig {
-    /// Failure-detection thresholds.
-    pub health: HealthConfig,
-    /// Retry backoff policy.
-    pub backoff: BackoffPolicy,
-    /// Overload-shedding policy.
-    pub shed: ShedPolicy,
 }
 
 #[cfg(test)]

@@ -2,10 +2,10 @@
 //!
 //! SCALE itself — the paper's contribution (CoNEXT 2015):
 //!
-//! * [`mlb`] — the MME Load Balancer: standards-facing proxy that routes
-//!   by consistent hashing + embedded VM ids, with no per-device table;
-//! * [`cluster`] — a complete SCALE DC ([`ScaleDc`]): elastic MMP fleet,
-//!   Idle-edge state replication, epoch provisioning and rebalancing;
+//! * [`cluster`] — a complete SCALE DC ([`ScaleDc`]): the MLB front
+//!   (routing by consistent hashing + embedded VM ids, with no
+//!   per-device table), elastic MMP fleet, Idle-edge state
+//!   replication, epoch provisioning and rebalancing;
 //! * [`failover`] — failure detection, bounded retry with backoff, and
 //!   overload-shedding policy (§4.6 "Failure resilience");
 //! * [`obs`] — the observability bridge: registers the cluster's
@@ -17,9 +17,10 @@
 //!   with hysteresis, step limits and fleet bounds;
 //! * [`geo`] — geo-multiplexing budgets and the delay-weighted remote-DC
 //!   selector (§4.5.2);
-//! * [`routeplane`] — the lock-free shared routing plane: an
-//!   epoch-published [`RouteSnapshot`] behind the vendored arc-swap,
-//!   with per-thread cached readers and a relaxed-atomic load table;
+//! * [`routeplane`] — the MLB's routing plane, shared by every plane:
+//!   an epoch-published [`RouteSnapshot`] behind the vendored
+//!   arc-swap, per-thread cached readers that apply the routing policy,
+//!   and a relaxed-atomic load table;
 //! * [`shard`] — per-worker MMP engine groups with exclusive context
 //!   ownership; cross-shard procedures travel as [`ShardMsg`] values;
 //! * [`wire`] — the multi-process deployment's sans-IO core: the
@@ -41,7 +42,6 @@ pub mod baseline;
 pub mod cluster;
 pub mod failover;
 pub mod geo;
-pub mod mlb;
 pub mod obs;
 pub mod provision;
 pub mod routeplane;
@@ -52,18 +52,17 @@ pub use autoscale::{
     AutoscaleConfig, Autoscaler, Decision, EpochObservation, ScaleAction, CLUSTER_CLASS_COUNTERS,
 };
 pub use baseline::{LegacyPool, PoolMember, PoolStats};
-pub use cluster::{DcStats, EpochReport, RepairReport, ScaleConfig, ScaleDc};
+pub use cluster::{DcStats, EpochReport, MlbStats, RepairReport, ScaleConfig, ScaleDc};
 pub use failover::{
-    BackoffPolicy, FailoverConfig, FailoverStats, HealthConfig, HealthTracker, Priority,
-    ShedPolicy, TokenBucket, VmHealth,
+    BackoffPolicy, FailoverStats, HealthConfig, HealthTracker, Priority, ShedPolicy,
+    TokenBucket, VmHealth,
 };
 pub use geo::{DcBudget, DcId, DelayMatrix, GeoSelector};
-pub use mlb::{MlbRouter, MlbStats, VmId, VmLoad};
 pub use obs::{DcObserver, ProcClass, WireLinkObserver};
 pub use provision::{
     beta, provision, replica_probability, Allocation, AllocationPolicy, LoadEstimator,
     Provisioning, VmCapacity,
 };
-pub use routeplane::{LoadTable, RoutePlane, RouteReader, RouteSnapshot, MAX_R};
+pub use routeplane::{LoadTable, RoutePlane, RouteReader, RouteSnapshot, VmId, MAX_R};
 pub use shard::{Shard, ShardConfig, ShardMsg, ShardStats, ShardStatsSnapshot};
 pub use wire::{MlbOut, MlbState, MlbWireStats, MmpNode, WireMsg, WireRole, WireTopo};

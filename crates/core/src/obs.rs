@@ -102,18 +102,13 @@ pub struct DcObserver {
     pub(crate) new_attaches: Arc<Counter>,
     pub(crate) idle_routes: Arc<Counter>,
     pub(crate) active_routes: Arc<Counter>,
-    pub(crate) lookups: Arc<Counter>,
-    pub(crate) route_cache_hits: Arc<Counter>,
-    pub(crate) route_cache_misses: Arc<Counter>,
     pub(crate) position_hits: Arc<Counter>,
     pub(crate) position_misses: Arc<Counter>,
     pub(crate) epoch_bumps: Arc<Counter>,
     // Failover counters (published off-path from `FailoverStats`).
     pub(crate) failovers: Arc<Counter>,
     pub(crate) promotions: Arc<Counter>,
-    pub(crate) retries: Arc<Counter>,
     pub(crate) lost: Arc<Counter>,
-    pub(crate) shed: Arc<Counter>,
     pub(crate) vms_marked_down: Arc<Counter>,
     // MMP engine counters (published off-path, summed over live VMs).
     pub(crate) attaches_completed: Arc<Counter>,
@@ -196,15 +191,6 @@ impl DcObserver {
                 "scale_mlb_active_routes_total",
                 "Active-mode messages routed by embedded VM id",
             ),
-            lookups: r.counter("scale_mlb_lookups_total", "Holder-set lookups performed"),
-            route_cache_hits: r.counter(
-                "scale_mlb_route_cache_hits_total",
-                "Holder lookups served from the per-epoch route cache",
-            ),
-            route_cache_misses: r.counter(
-                "scale_mlb_route_cache_misses_total",
-                "Holder lookups that walked the ring",
-            ),
             position_hits: r.counter(
                 "scale_mlb_position_cache_hits_total",
                 "Ring-position lookups served from the position memo",
@@ -225,17 +211,9 @@ impl DcObserver {
                 "scale_mlb_promotions_total",
                 "Active-mode state promotions to a surviving replica (section 4.6)",
             ),
-            retries: r.counter(
-                "scale_mlb_retries_total",
-                "Backoff retries performed for failed requests",
-            ),
             lost: r.counter(
                 "scale_mlb_lost_total",
                 "Requests lost because no replica could be promoted",
-            ),
-            shed: r.counter(
-                "scale_mlb_shed_total",
-                "Low-priority requests shed under overload",
             ),
             vms_marked_down: r.counter(
                 "scale_mlb_vms_marked_down_total",

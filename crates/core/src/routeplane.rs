@@ -1,19 +1,25 @@
 //! lint: hot-path
 //!
-//! The epoch-published shared routing plane: an immutable snapshot of
-//! the consistent-hash ring plus a dense per-VM load table, readable
-//! lock-free from any worker thread.
+//! The routing plane of the MLB (§4.1/§4.6): an epoch-published,
+//! immutable snapshot of the consistent-hash ring plus a dense per-VM
+//! load table, readable lock-free from any thread. Every plane routes
+//! through it — the single-threaded `ScaleDc`, the sharded cluster and
+//! the wire MLB — so the ring, the holder set, liveness and the routing
+//! policy live here once:
 //!
-//! The single-threaded [`MlbRouter`](crate::mlb::MlbRouter) owns its
-//! ring and invalidates per-epoch caches by bumping a counter. This
-//! module lifts that exact protocol across threads: membership/liveness
-//! writers build a fresh [`RouteSnapshot`] carrying `epoch + 1` and
-//! publish it through an [`arcswap::ArcSwap`] (vendored, safe-Rust) —
-//! one `Release` store. Readers hold a [`RouteReader`] whose `load` is
-//! an `Acquire` version check; they observe either the old snapshot or
-//! the new one, never a torn mix, and an epoch-tagged snapshot can
-//! never resurrect after a newer epoch was observed (the version chain
-//! is monotonic). `scale-check` exhaustively explores this protocol
+//! * a fresh attach goes to the first *live* holder of its GUTI
+//!   ([`RouteReader::route_new_attach`]);
+//! * an Idle→Active request goes to the least-loaded live holder
+//!   ([`RouteReader::route_idle_by`]), with the caller's load signal.
+//!
+//! Membership and liveness writers build a fresh [`RouteSnapshot`]
+//! carrying `epoch + 1` and publish it through an
+//! [`arcswap::ArcSwap`] (vendored, safe-Rust) — one `Release` store.
+//! Readers hold a [`RouteReader`] whose `load` is an `Acquire` version
+//! check; they observe either the old snapshot or the new one, never a
+//! torn mix, and an epoch-tagged snapshot can never resurrect after a
+//! newer epoch was observed (the version chain is monotonic).
+//! `scale-check` exhaustively explores this protocol
 //! (`crates/check/tests/scenarios.rs`).
 //!
 //! Loads live *outside* the snapshot in a [`LoadTable`] of relaxed
@@ -27,10 +33,11 @@ use scale_nas::{Guti, Plmn};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::mlb::VmId;
+/// MMP VM identifier within one DC pool (embedded in composed ids).
+pub type VmId = u32;
 
 /// Max replication degree representable in the stack-allocated holder
-/// arrays (mirrors the MLB route-cache bound).
+/// arrays (the paper never goes past R = 4).
 pub const MAX_R: usize = 8;
 
 /// Highest VM id representable in the liveness bitmap / load table.
@@ -38,8 +45,7 @@ pub const MAX_VMS: usize = 256;
 
 /// One immutable, epoch-tagged view of cluster membership.
 pub struct RouteSnapshot {
-    /// Monotonic epoch; bumped by every publish, mirroring the MLB's
-    /// per-epoch route-cache invalidation.
+    /// Monotonic epoch; bumped by every publish.
     pub epoch: u64,
     /// The consistent-hash ring over MMP VM ids.
     pub ring: HashRing<VmId>,
@@ -54,8 +60,8 @@ pub struct RouteSnapshot {
 }
 
 impl RouteSnapshot {
-    /// Empty snapshot at epoch 1 (epoch 0 is the "never routed"
-    /// sentinel, as in the MLB route cache).
+    /// Empty snapshot at epoch 1, so `epoch - 1` counts the publishes
+    /// since construction.
     pub fn new(tokens: u32, replication: usize, plmn: Plmn, mme_group_id: u16, mme_code: u8) -> Self {
         RouteSnapshot {
             epoch: 1,
@@ -72,11 +78,6 @@ impl RouteSnapshot {
     pub fn is_down(&self, vm: VmId) -> bool {
         let v = vm as usize;
         v < MAX_VMS && self.down[v / 64] & (1 << (v % 64)) != 0
-    }
-
-    /// Live members (ring members not marked down).
-    pub fn live_vms(&self) -> impl Iterator<Item = VmId> + '_ {
-        self.ring.nodes().iter().copied().filter(|&v| !self.is_down(v))
     }
 
     /// Compose the pool GUTI for an M-TMSI.
@@ -105,6 +106,27 @@ impl RouteSnapshot {
     /// [`RouteReader`] for the memoized position).
     pub fn holders_of(&self, m_tmsi: u32) -> ([VmId; MAX_R], usize) {
         self.holders_at(position_of(&self.guti(m_tmsi).to_bytes()))
+    }
+
+    /// The least-loaded live holder at ring position `pos`; ties keep
+    /// the later holder. See [`RouteReader::route_idle_by`].
+    fn least_loaded_live_at<L: PartialOrd>(
+        &self,
+        pos: u64,
+        load: impl Fn(VmId) -> L,
+    ) -> Option<VmId> {
+        let (holders, n) = self.holders_at(pos);
+        let mut best: Option<(L, VmId)> = None;
+        for &vm in &holders[..n] {
+            if self.is_down(vm) {
+                continue;
+            }
+            let l = load(vm);
+            if best.as_ref().is_none_or(|(b, _)| l <= *b) {
+                best = Some((l, vm));
+            }
+        }
+        best.map(|(_, vm)| vm)
     }
 
     /// Derived snapshot with `vm` marked down, at the next epoch.
@@ -211,10 +233,11 @@ impl RoutePlane {
         self.snap.store(Arc::new(next));
     }
 
-    /// Add a VM to the ring (epoch bump).
+    /// Add a VM to the ring (epoch bump). The VM joins up: a down mark
+    /// left from an earlier life of the same id is cleared.
     pub fn add_vm(&self, vm: VmId) {
         self.publish(|s| {
-            let mut next = s.fork();
+            let mut next = s.with_down(vm, false);
             next.ring.add_node(vm);
             next
         });
@@ -246,7 +269,7 @@ impl RoutePlane {
 /// A per-thread lock-free reader over a [`RoutePlane`]: one `Acquire`
 /// version check per routing decision, plus a memoized ring-position
 /// cache (positions depend only on key bytes, so entries survive
-/// membership churn — same reasoning as the MLB's `PositionCache`).
+/// membership churn and need no epoch invalidation).
 pub struct RouteReader {
     plane: Arc<RoutePlane>,
     cache: Cache<RouteSnapshot>,
@@ -296,26 +319,58 @@ impl RouteReader {
         holders[..n].iter().copied().find(|&vm| !snap.is_down(vm))
     }
 
-    /// Route an Idle→Active transition: least-loaded live holder (the
-    /// fine-grained balancing of §4.6); ties keep the later holder,
-    /// matching `MlbRouter::route_idle_transition`. Holder set and
-    /// liveness come from one snapshot load (see
-    /// [`Self::route_new_attach`] for why that is load-bearing).
+    /// Route an Idle→Active transition by the shared [`LoadTable`]:
+    /// [`Self::route_idle_by`] with in-flight procedure counts as the
+    /// load signal.
     pub fn route_idle(&mut self, m_tmsi: u32) -> Option<VmId> {
         let pos = self.position(m_tmsi);
-        let snap = self.cache.load(&self.plane.snap);
-        let (holders, n) = snap.holders_at(pos);
-        let mut best: Option<(u64, VmId)> = None;
-        for &vm in &holders[..n] {
-            if snap.is_down(vm) {
-                continue;
-            }
-            let load = self.plane.loads.load(vm);
-            if best.is_none_or(|(b, _)| load <= b) {
-                best = Some((load, vm));
-            }
-        }
-        best.map(|(_, vm)| vm)
+        let loads = &self.plane.loads;
+        self.cache
+            .load(&self.plane.snap)
+            .least_loaded_live_at(pos, |vm| loads.load(vm))
+    }
+
+    /// Route an Idle→Active transition: the least-loaded live holder
+    /// under the caller's load signal (the fine-grained balancing of
+    /// §4.6). Down holders are skipped; every holder down → `None`.
+    /// Ties keep the *last* of equally loaded holders (`<=`), the
+    /// `Iterator::min_by` tie rule of the seed implementation. Holder
+    /// set and liveness come from one snapshot load (see
+    /// [`Self::route_new_attach`] for why that is load-bearing).
+    ///
+    /// ```
+    /// use scale_core::routeplane::{RoutePlane, RouteSnapshot};
+    /// use scale_nas::Plmn;
+    /// use std::sync::Arc;
+    ///
+    /// let mut snap = RouteSnapshot::new(5, 2, Plmn::new("001", "01"), 1, 1);
+    /// for vm in 1..=4 {
+    ///     snap.ring.add_node(vm);
+    /// }
+    /// let plane = Arc::new(RoutePlane::new(snap));
+    /// let mut reader = plane.reader();
+    /// let (holders, n) = reader.holders(0xC0FFEE);
+    /// // Equal loads: the last holder wins the tie.
+    /// assert_eq!(reader.route_idle_by(0xC0FFEE, |_| 0.0), Some(holders[n - 1]));
+    /// // Load the last holder: routing moves to the other one.
+    /// let busy = holders[n - 1];
+    /// let vm = reader.route_idle_by(0xC0FFEE, |vm| if vm == busy { 1.0 } else { 0.0 });
+    /// assert_eq!(vm, Some(holders[0]));
+    /// ```
+    pub fn route_idle_by<L: PartialOrd>(
+        &mut self,
+        m_tmsi: u32,
+        load: impl Fn(VmId) -> L,
+    ) -> Option<VmId> {
+        let pos = self.position(m_tmsi);
+        self.cache
+            .load(&self.plane.snap)
+            .least_loaded_live_at(pos, load)
+    }
+
+    /// Position-memo `(hits, misses)` counters, for instrumentation.
+    pub fn position_cache_stats(&self) -> (u64, u64) {
+        (self.positions.hits, self.positions.misses)
     }
 
     /// Charge one routed procedure to `vm` in the shared load table.
@@ -410,6 +465,38 @@ mod tests {
     }
 
     #[test]
+    fn idle_ties_keep_the_last_holder() {
+        let p = plane(&[1, 2, 3, 4]);
+        let mut r = p.reader();
+        for m_tmsi in 0..50u32 {
+            let (holders, n) = r.holders(m_tmsi);
+            assert_eq!(
+                r.route_idle(m_tmsi),
+                Some(holders[n - 1]),
+                "m_tmsi {m_tmsi}"
+            );
+            assert_eq!(r.route_idle_by(m_tmsi, |_| 0.5), Some(holders[n - 1]));
+        }
+    }
+
+    #[test]
+    fn every_holder_down_routes_nowhere() {
+        let p = plane(&[1, 2, 3]);
+        let mut r = p.reader();
+        for vm in [1, 2, 3] {
+            p.mark_down(vm);
+        }
+        for m_tmsi in 0..50u32 {
+            assert_eq!(r.route_new_attach(m_tmsi), None);
+            assert_eq!(r.route_idle(m_tmsi), None);
+        }
+        // A VM added under an id marked down comes back up.
+        p.mark_down(4);
+        p.add_vm(4);
+        assert!(!r.snapshot().is_down(4));
+    }
+
+    #[test]
     fn concurrent_readers_observe_consistent_snapshots() {
         let p = plane(&[1, 2, 3, 4, 5, 6, 7, 8]);
         std::thread::scope(|scope| {
@@ -471,5 +558,80 @@ mod tests {
         // Out-of-range VMs are ignored, not panics.
         p.loads.charge(9999);
         assert_eq!(p.loads.load(9999), 0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use scale_hashring::reference::BTreeRing;
+    use std::collections::BTreeSet;
+
+    const R: usize = 2;
+
+    proptest! {
+        /// `route_idle_by` picks exactly what an explicit least-loaded-
+        /// live loop over the seed ring's holders picks (ties keep the
+        /// last holder), and `route_new_attach` the first live holder,
+        /// after every step of membership and liveness churn.
+        #[test]
+        fn routing_matches_least_loaded_live_over_reference_ring(
+            initial in proptest::collection::btree_set(1u32..10, 1..6),
+            // (kind, vm): 0 add, 1 remove, 2 mark down, 3 mark up.
+            ops in proptest::collection::vec((0u8..4, 1u32..10), 0..24),
+            loads in proptest::collection::vec(0u8..4, 10),
+            m_tmsis in proptest::collection::vec(any::<u32>(), 1..12),
+        ) {
+            let mut snap = RouteSnapshot::new(5, R, Plmn::test(), 0x8001, 1);
+            let mut oracle = BTreeRing::new(5);
+            for &vm in &initial {
+                snap.ring.add_node(vm);
+                oracle.add_node(vm);
+            }
+            let p = Arc::new(RoutePlane::new(snap));
+            let mut r = p.reader();
+            let mut down = BTreeSet::new();
+            let load = |vm: VmId| loads[vm as usize];
+            for step in std::iter::once(None).chain(ops.iter().copied().map(Some)) {
+                match step {
+                    None => {}
+                    Some((0, vm)) => {
+                        p.add_vm(vm);
+                        oracle.add_node(vm);
+                        down.remove(&vm);
+                    }
+                    Some((1, vm)) => {
+                        p.remove_vm(vm);
+                        oracle.remove_node(&vm);
+                        down.remove(&vm);
+                    }
+                    Some((2, vm)) => {
+                        p.mark_down(vm);
+                        down.insert(vm);
+                    }
+                    Some((_, vm)) => {
+                        p.mark_up(vm);
+                        down.remove(&vm);
+                    }
+                }
+                for &m in &m_tmsis {
+                    let guti = r.snapshot().guti(m);
+                    let holders = oracle.replicas(&guti.to_bytes(), R);
+                    let mut best: Option<VmId> = None;
+                    for &&vm in &holders {
+                        if down.contains(&vm) {
+                            continue;
+                        }
+                        if best.is_none_or(|b| load(vm) <= load(b)) {
+                            best = Some(vm);
+                        }
+                    }
+                    let first_live = holders.iter().map(|&&vm| vm).find(|vm| !down.contains(vm));
+                    prop_assert_eq!(r.route_idle_by(m, load), best, "m_tmsi {}", m);
+                    prop_assert_eq!(r.route_new_attach(m), first_live, "m_tmsi {}", m);
+                }
+            }
+        }
     }
 }

@@ -28,7 +28,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::mlb::VmId;
+use crate::routeplane::VmId;
 use crate::routeplane::{RoutePlane, RouteReader};
 
 /// Which shard owns MMP `vm` when the fleet is split `n_shards` ways.

@@ -25,7 +25,7 @@
 //! Decoding is strict: unknown tags and trailing bytes are errors, and
 //! every successful decode re-encodes to the identical bytes.
 
-use crate::mlb::VmId;
+use crate::routeplane::VmId;
 use crate::routeplane::{RoutePlane, RouteReader, RouteSnapshot};
 use crate::shard::{shard_of, Shard, ShardConfig, ShardEvent, ShardMsg, ShardStatsSnapshot};
 use bytes::Bytes;
@@ -587,8 +587,9 @@ impl MlbState {
 
     /// MMP process `mmp` died (link error or heartbeat loss): mark its
     /// VMs down for routing, fail over every pinned in-flight
-    /// procedure to its home cell, and tell the surviving MMPs to
-    /// exclude the dead VMs from replica placement.
+    /// procedure to its home cell (returning its load charge), and
+    /// tell the surviving MMPs to exclude the dead VMs from replica
+    /// placement.
     pub fn on_mmp_down(&mut self, mmp: usize, out: &mut Vec<MlbOut>) {
         let dead: Vec<VmId> = self.topo.vms_of(mmp);
         for &vm in &dead {
@@ -608,7 +609,12 @@ impl MlbState {
         // state counts across runs.
         failed.sort_unstable();
         for m_tmsi in failed {
-            self.inflight.remove(&m_tmsi);
+            // The procedure will never reach its Idle edge, so its load
+            // charge is returned here; a stale charge would steer
+            // least-loaded routing away from the VM once it is back.
+            if let Some(vm) = self.inflight.remove(&m_tmsi) {
+                self.reader.discharge(vm);
+            }
             self.stats.proc_failures += 1;
             if let Some(enb) = home_cell(m_tmsi, self.topo.n_enbs) {
                 out.push(MlbOut::Enb {
@@ -663,13 +669,6 @@ impl MlbState {
     #[must_use]
     pub fn plane(&self) -> &Arc<RoutePlane> {
         &self.plane
-    }
-
-    /// The serving VM pinned for device `m_tmsi`'s in-flight
-    /// procedure, if one is pinned.
-    #[must_use]
-    pub fn inflight_vm(&self, m_tmsi: u32) -> Option<VmId> {
-        self.inflight.get(&m_tmsi).copied()
     }
 
     /// Hash the behavior-relevant routing state — connection pins, the
@@ -1084,6 +1083,22 @@ mod tests {
         ));
     }
 
+    /// Route the Initial UE Message of a fresh attach for device `u`.
+    fn attach(mlb: &mut MlbState, u: u32, out: &mut Vec<MlbOut>) {
+        mlb.on_enb(
+            ENB_BASE + u % 2,
+            Some(MTMSI_BASE + u),
+            S1apPdu::InitialUeMessage {
+                enb_ue_id: u,
+                nas_pdu: Bytes::from_static(b"a"),
+                tai: Tai::new(Plmn::test(), 1),
+                establishment_cause: 3,
+                s_tmsi: None,
+            },
+            out,
+        );
+    }
+
     #[test]
     fn mmp_death_fails_over_inflight_and_broadcasts_down() {
         let t = topo();
@@ -1092,22 +1107,10 @@ mod tests {
         // Pin one in-flight attach per MMP.
         let mut pinned = Vec::new();
         for u in 0..8u32 {
-            let m_tmsi = MTMSI_BASE + u;
             out.clear();
-            mlb.on_enb(
-                ENB_BASE + u % 2,
-                Some(m_tmsi),
-                S1apPdu::InitialUeMessage {
-                    enb_ue_id: u,
-                    nas_pdu: Bytes::from_static(b"a"),
-                    tai: Tai::new(Plmn::test(), 1),
-                    establishment_cause: 3,
-                    s_tmsi: None,
-                },
-                &mut out,
-            );
+            attach(&mut mlb, u, &mut out);
             if let [MlbOut::Mmp { mmp, .. }] = &out[..] {
-                pinned.push((m_tmsi, *mmp));
+                pinned.push((MTMSI_BASE + u, *mmp));
             }
         }
         let on_dead: Vec<u32> = pinned
@@ -1132,8 +1135,8 @@ mod tests {
                 _ => None,
             })
             .collect();
-        let mut a = failed.clone();
-        let mut b = on_dead.clone();
+        let mut a = failed;
+        let mut b = on_dead;
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b, "every dead-MMP in-flight device fails over");
@@ -1158,6 +1161,33 @@ mod tests {
             &mut out,
         );
         assert!(matches!(&out[..], [MlbOut::Mmp { mmp: 0, .. }]));
+    }
+
+    #[test]
+    fn mmp_death_returns_the_load_charges_of_failed_procedures() {
+        let t = topo();
+        let mut mlb = MlbState::new(&t);
+        let mut out = Vec::new();
+        for u in 0..8u32 {
+            attach(&mut mlb, u, &mut out);
+        }
+        let before = mlb.inflight_len();
+        mlb.on_mmp_down(1, &mut out);
+        assert!(mlb.inflight_len() < before, "some procedure failed over");
+        // Every charge left belongs to a procedure still in flight.
+        let check = |mlb: &MlbState| {
+            for vm in 1..=t.total_vms as VmId {
+                let pinned = mlb.inflight.values().filter(|&&v| v == vm).count();
+                assert_eq!(mlb.plane().loads.load(vm), pinned as u64, "vm {vm}");
+            }
+        };
+        check(&mlb);
+        // The revived VMs come back unloaded.
+        mlb.on_mmp_reconnected(1, &mut out);
+        check(&mlb);
+        for vm in t.vms_of(1) {
+            assert_eq!(mlb.plane().loads.load(vm), 0, "vm {vm}");
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! published totals against a sequentially computed oracle, and checks
 //! that every mid-churn publish was a sane partial total (never above
 //! the oracle — a publish that *double-counted* a shard would
-//! overshoot).
+//! overshoot). Workers pause at their halfway mark until a non-zero
+//! partial total has been published, so at least one publish lands
+//! mid-churn on any core count.
 
 use scale_core::{DcObserver, ShardStats};
 use scale_obs::Registry;
@@ -30,6 +32,15 @@ fn concurrent_publish_matches_sequential_oracle() {
         for stats in &shards {
             scope.spawn(|| {
                 for i in 0..INCREMENTS {
+                    if i == INCREMENTS / 2 {
+                        // Halfway: hold until the publisher has
+                        // published a non-zero partial total, so a
+                        // mid-churn publish happens by construction,
+                        // however the threads are scheduled.
+                        while max_seen.load(Ordering::Relaxed) == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
                     stats.messages.fetch_add(1, Ordering::Relaxed);
                     if i % 3 == 0 {
                         stats.attaches.fetch_add(1, Ordering::Relaxed);
@@ -84,8 +95,8 @@ fn concurrent_publish_matches_sequential_oracle() {
         registry.counter("scale_dc_replications_total", "").get(),
         oracle_replicas
     );
-    // The publisher actually observed progress mid-churn (smoke check
-    // that the race was exercised, not vacuous).
+    // The publisher actually observed progress mid-churn (the race was
+    // exercised, not vacuous; the halfway pause guarantees it).
     assert!(max_seen.load(Ordering::Relaxed) > 0);
 }
 

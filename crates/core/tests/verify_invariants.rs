@@ -3,7 +3,7 @@
 //! restart, scale and epoch churn. Every mutation already self-audits
 //! under `verify`; this test adds explicit audit calls at the points
 //! where the full replica contract must hold, so a regression in ring
-//! bookkeeping, route-cache epochs, or replica syncing fails loudly
+//! bookkeeping, liveness publication, or replica syncing fails loudly
 //! here rather than skewing an experiment.
 
 #![cfg(feature = "verify")]

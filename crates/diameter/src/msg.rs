@@ -343,14 +343,14 @@ pub fn is_success(result: u32) -> bool {
 mod tests {
     use super::*;
 
-    fn roundtrip(s6a: S6a) {
+    fn roundtrip(s6a: &S6a) {
         let msg = s6a.clone().into_msg(7, 9);
         let bytes = msg.encode();
         let back_msg = DiameterMsg::decode(bytes).unwrap();
         assert_eq!(back_msg.hop_by_hop, 7);
         assert_eq!(back_msg.end_to_end, 9);
         assert_eq!(back_msg.app_id, APP_S6A);
-        assert_eq!(S6a::from_msg(&back_msg).unwrap(), s6a);
+        assert_eq!(&S6a::from_msg(&back_msg).unwrap(), s6a);
     }
 
     fn sample_vector(seed: u8) -> EutranVector {
@@ -364,7 +364,7 @@ mod tests {
 
     #[test]
     fn air_roundtrip() {
-        roundtrip(S6a::AuthInfoRequest {
+        roundtrip(&S6a::AuthInfoRequest {
             imsi: "001010123456789".into(),
             visited_plmn: [0x00, 0xf1, 0x10],
             vectors: 3,
@@ -373,7 +373,7 @@ mod tests {
 
     #[test]
     fn aia_roundtrip_with_vectors() {
-        roundtrip(S6a::AuthInfoAnswer {
+        roundtrip(&S6a::AuthInfoAnswer {
             result: result_code::SUCCESS,
             vectors: vec![sample_vector(1), sample_vector(2)],
         });
@@ -381,7 +381,7 @@ mod tests {
 
     #[test]
     fn aia_error_has_no_vectors() {
-        roundtrip(S6a::AuthInfoAnswer {
+        roundtrip(&S6a::AuthInfoAnswer {
             result: result_code::USER_UNKNOWN,
             vectors: vec![],
         });
@@ -389,11 +389,11 @@ mod tests {
 
     #[test]
     fn ulr_ula_roundtrip() {
-        roundtrip(S6a::UpdateLocationRequest {
+        roundtrip(&S6a::UpdateLocationRequest {
             imsi: "001010123456789".into(),
             visited_plmn: [0x00, 0xf1, 0x10],
         });
-        roundtrip(S6a::UpdateLocationAnswer {
+        roundtrip(&S6a::UpdateLocationAnswer {
             result: result_code::SUCCESS,
             ambr_ul_kbps: 50_000,
             ambr_dl_kbps: 150_000,

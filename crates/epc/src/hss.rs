@@ -179,10 +179,7 @@ mod tests {
         let k = provision_k("001010000000001");
         let mil = Milenage::from_op(&k, &OP);
         let out = mil.f2345(&v.rand);
-        let mut sqn = [0u8; 6];
-        for i in 0..6 {
-            sqn[i] = v.autn[i] ^ out.ak[i];
-        }
+        let sqn: [u8; 6] = std::array::from_fn(|i| v.autn[i] ^ out.ak[i]);
         let macs = mil.f1(&v.rand, &sqn, &AMF);
         assert_eq!(&v.autn[8..16], &macs.mac_a, "network authentication");
         assert_eq!(v.xres, out.res, "RES agreement");

@@ -666,7 +666,7 @@ mod tests {
         assert_eq!(dc.stats.crashes, 1);
         assert_eq!(plan.apply_due_to_cluster(&mut dc, 25.0), 1);
         assert_eq!(dc.vm_count(), 3, "restart rejoined the pool");
-        assert!(!dc.mlb.is_down(victim));
+        assert!(!dc.is_down(victim));
     }
 
     fn run_once(r: usize, seed: u64) -> ChaosReport {

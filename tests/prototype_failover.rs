@@ -163,7 +163,7 @@ async fn crash_detect_reconnect_with_backoff_and_reattach() {
     // Phase 3: MLB-side detection. Probes now fail — either the ping
     // write hits a dead socket or the event loop sees EOF-without-
     // SHUTDOWN. Consecutive errors cross the threshold and the MMP is
-    // declared down, exactly as MlbRouter::record_error does it.
+    // declared down, exactly as the in-process MLB (`ScaleDc`) does it.
     let mut probes = 0u64;
     while !health.is_down(0) {
         probes += 1;
